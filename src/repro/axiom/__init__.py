@@ -36,7 +36,6 @@ from .model import (
     axiom_outcomes,
     classify,
     condition_verdict,
-    written_locations,
 )
 from .canon import canonical_key, canonical_program_key, canonicalize
 from .synth import SynthConfig, SynthReport, Synthesized, synthesize
@@ -52,7 +51,6 @@ __all__ = [
     "axiom_outcomes",
     "classify",
     "condition_verdict",
-    "written_locations",
     "canonicalize",
     "canonical_key",
     "canonical_program_key",

@@ -78,7 +78,7 @@ class _Universe(NamedTuple):
     read_eids: tuple
     rf_options: tuple          # per read: candidate source write eids
     write_perms: tuple         # per written loc: program write eids
-    written_locs: tuple
+    written: tuple
     value_of: dict
     loc_of: dict
     po_pairs: tuple
@@ -142,7 +142,7 @@ def _build_universe(threads) -> _Universe:
     for ev in events:
         if ev.tid >= 0 and ev.kind in ("W", "U"):
             writes_by_loc[ev.loc].append(ev.eid)
-    written_locs = tuple(loc for loc in locations if writes_by_loc[loc])
+    written = tuple(loc for loc in locations if writes_by_loc[loc])
 
     read_eids = tuple(ev.eid for ev in events if ev.kind in ("R", "U"))
     rf_options = []
@@ -169,15 +169,15 @@ def _build_universe(threads) -> _Universe:
     n_candidates = 1
     for opts in rf_options:
         n_candidates *= len(opts)
-    for loc in written_locs:
+    for loc in written:
         n_candidates *= factorial(len(writes_by_loc[loc]))
 
     return _Universe(
         events=tuple(events),
         read_eids=read_eids,
         rf_options=rf_options,
-        write_perms=tuple(tuple(writes_by_loc[loc]) for loc in written_locs),
-        written_locs=written_locs,
+        write_perms=tuple(tuple(writes_by_loc[loc]) for loc in written),
+        written=written,
         value_of=value_of,
         loc_of=loc_of,
         po_pairs=tuple(po_pairs),
@@ -240,7 +240,7 @@ def _enumerate(threads):
         for co_sel in product(*co_choices):
             co = {
                 loc: (init_of[loc],) + order
-                for loc, order in zip(u.written_locs, co_sel)
+                for loc, order in zip(u.written, co_sel)
             }
             # Locations that are only read still have a (trivial)
             # coherence order: just the initial write.
@@ -280,7 +280,7 @@ def _enumerate(threads):
                 (u.events[r].reg, u.value_of[rf[r]]) for r in u.read_eids
             ))
             mem = tuple(sorted(
-                (loc, u.value_of[co[loc][-1]]) for loc in u.written_locs
+                (loc, u.value_of[co[loc][-1]]) for loc in u.written
             ))
             state = (regs, mem)
 
@@ -292,7 +292,7 @@ def _enumerate(threads):
                         tuple((u.labels[r], u.labels[rf[r]])
                               for r in u.read_eids),
                         tuple((loc, tuple(u.labels[w] for w in co[loc]))
-                              for loc in u.written_locs),
+                              for loc in u.written),
                     )
                     modes[mode][state] = witness
     return u, modes
@@ -316,14 +316,6 @@ def axiom_outcomes(test, fences: str = "program") -> frozenset:
         raise ValueError(f"unknown fence mode {fences!r}")
     _, modes = _enumerate(_as_test(test))
     return frozenset(modes[fences])
-
-
-def written_locations(test) -> tuple:
-    """Locations with at least one program write, in first-use order
-    (the locations whose final value the model — and ``sc.py`` —
-    tracks)."""
-    u, _ = _enumerate(_as_test(test))
-    return u.written_locs
 
 
 @dataclass(frozen=True)
@@ -405,10 +397,11 @@ class AxiomReport:
 def observation_key(test, regs: dict, final: dict):
     """Normalise an observed ``(regs, final)`` pair into the model's
     state-key shape, projecting ``final`` onto written locations."""
-    written = written_locations(test)
     return (
         tuple(sorted(regs.items())),
-        tuple(sorted((loc, final.get(loc, 0)) for loc in written)),
+        tuple(sorted(
+            (loc, final.get(loc, 0)) for loc in test.written_locations
+        )),
     )
 
 
@@ -416,7 +409,7 @@ def _conceivable_states(u):
     """The full value table: every register bound to 0 or any value
     written to its location, every written location ending at any of
     its written values.  All allowed states fall inside it."""
-    write_vals = {loc: [] for loc in u.written_locs}
+    write_vals = {loc: [] for loc in u.written}
     for ev in u.events:
         if ev.tid >= 0 and ev.kind in ("W", "U"):
             if ev.value not in write_vals[ev.loc]:
@@ -430,7 +423,7 @@ def _conceivable_states(u):
             if v not in domain:
                 domain.append(v)
         reg_axes.append((ev.reg, tuple(sorted(domain))))
-    loc_axes = [(loc, tuple(sorted(write_vals[loc]))) for loc in u.written_locs]
+    loc_axes = [(loc, tuple(sorted(write_vals[loc]))) for loc in u.written]
 
     for reg_vals in product(*(vals for _, vals in reg_axes)):
         regs = tuple(sorted(zip((r for r, _ in reg_axes), reg_vals)))

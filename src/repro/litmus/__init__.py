@@ -52,9 +52,10 @@ from .results import LitmusResult, Tally
 
 #: Runner dispatch: every litmus backend, keyed by its CLI/ledger name.
 #: All three share one signature (chip, test, distance, stress_spec,
-#: executions, *, seed, randomise, parallel) and tag their results with
-#: ``LitmusResult.backend`` so ledger keys never collide across
-#: backends.
+#: executions, *, seed, randomise, parallel, outcomes) and tag their
+#: results with ``LitmusResult.backend`` so ledger keys never collide
+#: across backends.  ``outcomes=True`` makes the result carry every
+#: round's final state as well (the soundness gate's input).
 BACKENDS = {
     "direct": run_litmus,
     "engine": run_litmus_compiled,

@@ -33,22 +33,10 @@ from ..gpu.addresses import Buffer
 from ..gpu.engine import Engine
 from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import MemorySystem
-from ..parallel import (
-    LitmusShard,
-    ParallelConfig,
-    merge_litmus_shards,
-    parallel_map,
-    resolve_config,
-    shard_ranges,
-)
+from ..parallel import ParallelConfig
 from ..rng import BufferedRNG, derive_seed, make_rng
 from .results import LitmusResult
-from .runner import (
-    _ROUNDS,
-    LitmusInstance,
-    OutcomeObservation,
-    written_locs,
-)
+from .runner import _ROUNDS, LitmusInstance, _run_backend
 from .tests import LitmusTest
 
 #: Tick budget per compiled litmus round.  The programs are a handful
@@ -142,12 +130,6 @@ def compile_test(
     after the scratchpad, outside every region the test or the stress
     field touches.
     """
-    n_threads = test.n_threads
-    if n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
     instance = LitmusInstance.layout(
         profile, test, distance, scratch_size=scratch_size
     )
@@ -195,7 +177,7 @@ def compile_test(
         fn=_litmus_thread,
         args=(programs, comm, out, reg_slots),
     )
-    config = LaunchConfig(grid_dim=n_threads, block_dim=1)
+    config = LaunchConfig(grid_dim=test.n_threads, block_dim=1)
     return CompiledLitmus(
         instance=instance,
         kernel=kernel,
@@ -207,34 +189,38 @@ def compile_test(
 
 def _engine_span(
     profile: HardwareProfile,
-    test: LitmusTest,
-    distance: int,
+    instance: LitmusInstance,
     stress_spec,
     seed: int,
     randomise: bool,
     start: int,
     stop: int,
-    rounds: int = _ROUNDS,
+    outcomes: dict | None = None,
 ) -> int:
     """Weak count over compiled executions ``[start, stop)``.
 
     Mirrors the direct runner's span contract: every execution seeds
-    from its global index, so any partition yields identical statistics.
-    The engine backend derives from a distinct ``"engine"`` label — the
-    two backends are statistically independent samples of the same
-    model, not replays of one stream.
+    from its global index, so any partition yields identical statistics,
+    and ``outcomes``, if given, receives every round's final state (all
+    rounds then run; the engine raises on a kernel timeout, so no round
+    is ever incomplete).  The engine backend derives from a distinct
+    ``"engine"`` label — the two backends are statistically independent
+    samples of the same model, not replays of one stream.
     """
-    compiled = compile_test(profile, test, distance)
+    test = instance.test
+    compiled = compile_test(profile, test, instance.distance)
     span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "engine"
+        seed, profile.short_name, test.name, instance.distance, "engine"
     )
     scratch_base = compiled.scratch_base
     scratch_size = compiled.scratch_size
     n_warps = compiled.config.grid_dim
+    written = tuple(
+        (loc, instance.addr(loc)) for loc in test.written_locations
+    )
     weak = 0
     mem: MemorySystem | None = None
     engine: Engine | None = None
-    test_obj = compiled.test
     for i in range(start, stop):
         rng = BufferedRNG(make_rng(span_seed, i))
         field = stress_spec.build(profile, scratch_base, scratch_size, rng)
@@ -256,100 +242,24 @@ def _engine_span(
             mem.reset(stress=field, rng=rng)
             engine.rng = rng
         engine.n_stress_units = stress_spec.stress_units(n_warps, rng)
-        for _ in range(rounds):
-            compiled.init_round(mem)
-            engine.run(compiled.kernel, compiled.config)
-            regs, final = compiled.read_outcome(mem)
-            if test_obj.weak(regs, final or None):
-                weak += 1
-                break
-    return weak
-
-
-def observed_outcomes_engine(
-    profile: HardwareProfile,
-    test: LitmusTest,
-    distance: int,
-    stress_spec,
-    executions: int,
-    seed: int = 0,
-    randomise: bool = False,
-    rounds: int = _ROUNDS,
-) -> OutcomeObservation:
-    """Run the engine backend and record every round's final state.
-
-    Mirrors :func:`_engine_span` (same ``"engine"`` seed label, same
-    stress-unit draws, same kernel) but reads the final value of every
-    program-written location after each round instead of only the
-    condition's, and never breaks out of a round batch early.  The
-    engine raises on kernel timeout, so every round completes and
-    ``incomplete`` is always 0 here; the field exists for interface
-    parity with the direct collector.
-    """
-    compiled = compile_test(profile, test, distance)
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "engine"
-    )
-    scratch_base = compiled.scratch_base
-    scratch_size = compiled.scratch_size
-    n_warps = compiled.config.grid_dim
-    written = written_locs(test)
-    written_addrs = tuple(
-        (loc, compiled.instance.addr(loc)) for loc in written
-    )
-    test_obj = compiled.test
-    outcomes: dict = {}
-    weak = 0
-    mem: MemorySystem | None = None
-    engine: Engine | None = None
-    for i in range(executions):
-        rng = BufferedRNG(make_rng(span_seed, i))
-        field = stress_spec.build(profile, scratch_base, scratch_size, rng)
-        if mem is None:
-            mem = MemorySystem(profile, field, rng)
-            engine = Engine(
-                profile,
-                mem,
-                rng,
-                max_ticks=ENGINE_MAX_TICKS,
-                randomise=randomise,
-                raise_on_timeout=True,
-            )
-        else:
-            mem.reset(stress=field, rng=rng)
-            engine.rng = rng
-        engine.n_stress_units = stress_spec.stress_units(n_warps, rng)
         hit = False
-        for _ in range(rounds):
+        for _ in range(_ROUNDS):
             compiled.init_round(mem)
             engine.run(compiled.kernel, compiled.config)
             regs, final = compiled.read_outcome(mem)
-            get = mem.mem.get
-            key = (
-                tuple(sorted(regs.items())),
-                tuple(sorted(
-                    (loc, get(addr, 0)) for loc, addr in written_addrs
-                )),
-            )
-            outcomes[key] = outcomes.get(key, 0) + 1
-            if test_obj.weak(regs, final or None):
+            if outcomes is not None:
+                get = mem.mem.get
+                key = (
+                    tuple(sorted(regs.items())),
+                    tuple(sorted((loc, get(a, 0)) for loc, a in written)),
+                )
+                outcomes[key] = outcomes.get(key, 0) + 1
+            if test.weak(regs, final or None):
                 hit = True
-        if hit:
-            weak += 1
-    return OutcomeObservation(outcomes, weak, incomplete=0)
-
-
-def _engine_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one shard of a compiled litmus run."""
-    (
-        profile, test, distance, stress_spec, seed, randomise,
-        start, stop, rounds,
-    ) = args
-    weak = _engine_span(
-        profile, test, distance, stress_spec, seed, randomise,
-        start, stop, rounds,
-    )
-    return LitmusShard(start=start, stop=stop, weak=weak)
+                if outcomes is None:
+                    break
+        weak += hit
+    return weak
 
 
 def run_litmus_compiled(
@@ -360,43 +270,19 @@ def run_litmus_compiled(
     executions: int,
     seed: int = 0,
     randomise: bool = False,
-    rounds: int = _ROUNDS,
     parallel: ParallelConfig | None = None,
+    outcomes: bool = False,
 ) -> LitmusResult:
     """Run ``executions`` compiled-backend runs of ``T_distance``.
 
     The signature mirrors :func:`repro.litmus.runner.run_litmus`; an
-    execution is a batch of ``rounds`` kernel launches and counts as
-    weak when any round exhibits the forbidden outcome, exactly like
-    the direct backend.
+    execution is a batch of kernel launches and counts as weak when any
+    round exhibits the forbidden outcome, exactly like the direct
+    backend.
     """
-    config = resolve_config(parallel)
-    if config.serial:
-        weak = _engine_span(
-            profile, test, distance, stress_spec, seed, randomise,
-            0, executions, rounds,
-        )
-    else:
-        shards = parallel_map(
-            _engine_shard,
-            [
-                (
-                    profile, test, distance, stress_spec, seed,
-                    randomise, start, stop, rounds,
-                )
-                for start, stop in shard_ranges(executions, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
-        backend="engine",
+    return _run_backend(
+        _engine_span, "engine", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel, outcomes,
     )
 
 

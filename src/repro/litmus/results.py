@@ -11,8 +11,16 @@ class LitmusResult:
     """Outcome of ``executions`` runs of one litmus test instance.
 
     ``backend`` records which execution path produced the result: the
-    ``"direct"`` memory-system fast path or the compiled SIMT
-    ``"engine"`` path (see :mod:`repro.litmus.compile`).
+    ``"direct"`` memory-system fast path, the compiled SIMT ``"engine"``
+    path (see :mod:`repro.litmus.compile`) or the ``"vector"``
+    mega-batch path (see :mod:`repro.litmus.vector`).
+
+    ``outcomes`` is None unless the run was asked to record final
+    states (``outcomes=True`` on any runner).  It then maps each final
+    state, keyed like :func:`repro.axiom.model.observation_key`, to the
+    number of rounds that ended in it, and ``incomplete`` counts the
+    rounds left out because a load did not resolve within the direct
+    backend's tick budget.  Neither field is written to ledger records.
     """
 
     test: str
@@ -21,6 +29,8 @@ class LitmusResult:
     executions: int
     location: tuple[int, ...] = ()
     backend: str = "direct"
+    outcomes: dict | None = None
+    incomplete: int = 0
 
     @property
     def rate(self) -> float:

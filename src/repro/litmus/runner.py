@@ -23,6 +23,7 @@ comfortably above the 4-thread idioms (IRIW).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -31,7 +32,6 @@ from ..chips.profile import HardwareProfile
 from ..gpu.addresses import AddressSpace
 from ..gpu.events import STALL
 from ..gpu.memory import MemorySystem
-from ..gpu.pressure import StressField
 from ..parallel import (
     LitmusShard,
     ParallelConfig,
@@ -88,10 +88,16 @@ class LitmusInstance:
         The scratchpad is aligned to a full channel period so scratchpad
         offset ``l`` always lands in channel ``profile.channel(l)`` —
         mirroring the stable (but uncontrollable) physical layout on real
-        hardware.
+        hardware.  Every backend lays its tests out here, so this is
+        where a test with more threads than the chip has SMs is refused.
         """
         if distance < 0:
             raise ValueError("distance must be non-negative")
+        if test.n_threads > profile.n_sms:
+            raise ValueError(
+                f"{test.name} needs {test.n_threads} SMs; "
+                f"{profile.short_name} models {profile.n_sms}"
+            )
         period = profile.patch_size * profile.n_channels
         space = AddressSpace()
         span = (len(test.locations) - 1) * max(distance, 1) + 2
@@ -407,40 +413,40 @@ def _one_round(
     return _finish_round(plan, mem, regs, names, handles)
 
 
-def _one_execution(
-    profile: HardwareProfile,
-    instance: LitmusInstance,
-    field: StressField,
-    rng,
-    randomise: bool,
-    rounds: int = _ROUNDS,
-    mem: MemorySystem | None = None,
-    plan: _RoundPlan | None = None,
-) -> bool:
-    """Run one execution (a batch of rounds, like one kernel launch).
+def _recording_plan(
+    plan: _RoundPlan, test: LitmusTest, outcomes: dict
+) -> _RoundPlan:
+    """``plan`` with a predicate that also adds each round's final state
+    to ``outcomes``.
 
-    Pass ``mem`` (already reset for this execution's field and rng) to
-    reuse one :class:`MemorySystem` across a whole execution batch.
+    The key has the :func:`repro.axiom.model.observation_key` shape:
+    sorted register items, then the sorted final value of every written
+    location.  A round whose loads did not all resolve within the tick
+    budget counts under ``None`` instead.  The round functions stay
+    untouched: they already hand the predicate every register and the
+    final value of each ``final_locs`` entry, which here grows to cover
+    the written locations.
     """
-    if mem is None:
-        mem = MemorySystem(profile, field, rng)
-    if plan is None:
-        plan = _round_plan(instance)
-    n_threads = len(plan.programs)
-    sms = tuple(range(n_threads))
-    if randomise and rng.random() < 0.5:
-        sms = sms[::-1]
-    if randomise:
-        exec_p = tuple(
-            rng.uniform(0.35, 0.95) for _ in range(n_threads)
-        )
-    else:
-        exec_p = (_EXEC_P,) * n_threads
-    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
-    for _ in range(rounds):
-        if round_fn(plan, mem, sms, exec_p, rng):
-            return True
-    return False
+    written = test.written_locations
+    final_locs = dict(plan.final_locs)
+    final_locs.update(
+        (loc, addr) for loc, addr in zip(test.locations, plan.addrs)
+        if loc in written
+    )
+    n_regs = len(test.registers)
+    pred = plan.pred
+
+    def record(regs, final):
+        key = None
+        if len(regs) == n_regs:
+            key = (
+                tuple(sorted(regs.items())),
+                tuple(sorted((loc, final[loc]) for loc in written)),
+            )
+        outcomes[key] = outcomes.get(key, 0) + 1
+        return pred(regs, final)
+
+    return plan._replace(final_locs=tuple(final_locs.items()), pred=record)
 
 
 def _litmus_span(
@@ -451,24 +457,37 @@ def _litmus_span(
     randomise: bool,
     start: int,
     stop: int,
+    outcomes: dict | None = None,
 ) -> int:
     """Weak-behaviour count over executions ``[start, stop)``.
 
-    Each execution draws from its own seed stream, derived from the
-    experiment seed and the execution's *global* index — never from
-    shard-local state — so any partition of the execution range yields
-    the same statistics (the repro.parallel determinism contract).
+    An execution is a batch of ``_ROUNDS`` rounds, like one kernel
+    launch, and counts as weak when any round is.  Each execution draws
+    from its own seed stream, derived from the experiment seed and the
+    execution's *global* index — never from shard-local state — so any
+    partition of the execution range yields the same statistics (the
+    repro.parallel determinism contract).
 
     The generator is wrapped in :class:`~repro.rng.BufferedRNG` (block
     pre-draws of the identical stream) and one :class:`MemorySystem` is
     reset per execution instead of reallocated — both invisible to the
     statistics.
+
+    ``outcomes``, if given, is a histogram every round's final state is
+    added to (see :func:`_recording_plan`).  Executions then run all
+    their rounds instead of stopping at the first weak one; the skipped
+    rounds only consume the execution's own stream, so the weak count
+    is the same.
     """
     weak = 0
     mem: MemorySystem | None = None
     scratch_base = instance.scratch_base
     scratch_size = instance.scratch_size
     plan = _round_plan(instance)
+    if outcomes is not None:
+        plan = _recording_plan(plan, instance.test, outcomes)
+    n_threads = len(plan.programs)
+    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
     build = stress_spec.build
     # derive_seed is a left fold over the labels, so hoisting the
     # loop-invariant prefix yields the identical per-execution seed.
@@ -478,116 +497,6 @@ def _litmus_span(
     for i in range(start, stop):
         rng = BufferedRNG(make_rng(span_seed, i))
         field = build(profile, scratch_base, scratch_size, rng)
-        if mem is None:
-            mem = MemorySystem(profile, field, rng)
-        else:
-            mem.reset(stress=field, rng=rng)
-        if _one_execution(
-            profile, instance, field, rng, randomise,
-            mem=mem, plan=plan,
-        ):
-            weak += 1
-    return weak
-
-
-class OutcomeObservation(NamedTuple):
-    """Every distinct final state a backend produced, with counts.
-
-    ``outcomes`` maps ``(sorted register items, sorted final-value items
-    over program-written locations)`` — the state-key shape of
-    :func:`repro.litmus.sc.sc_outcomes` and the axiomatic model — to the
-    number of rounds that ended in that state.  ``weak`` counts the
-    executions with at least one forbidden round (equal to
-    ``run_litmus(...).weak`` at the same seed: the collector runs the
-    rounds an early-exit would skip, but each execution draws from its
-    own seed stream, so later executions are unaffected).
-    ``incomplete`` counts dropped rounds whose loads did not all resolve
-    within the tick budget — the soundness gate asserts it stays 0."""
-
-    outcomes: dict
-    weak: int
-    incomplete: int
-
-
-def written_locs(test: LitmusTest) -> tuple:
-    """Locations the program writes (``st``/``rmw``), in first-use
-    order — the locations whose final value the oracles track."""
-    return tuple(dict.fromkeys(
-        ins[1]
-        for program in test.threads
-        for ins in program
-        if ins[0] in ("st", "rmw")
-    ))
-
-
-def observed_outcomes(
-    profile: HardwareProfile,
-    test: LitmusTest,
-    distance: int,
-    stress_spec,
-    executions: int,
-    seed: int = 0,
-    randomise: bool = False,
-    rounds: int = _ROUNDS,
-) -> OutcomeObservation:
-    """Run the direct backend and record *every* round's final state.
-
-    Identical draw-for-draw to :func:`run_litmus` (same span seeding,
-    same stress fields, same round functions) except that no execution
-    exits early on a weak round; the recording happens inside an
-    injected round-plan predicate, so the simulation path is untouched.
-    Used by the simulator-soundness gate to check observed states
-    against the axiomatic model.
-    """
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    base = _round_plan(instance)
-    addrs = instance.loc_addrs()
-    loc_index = test.locations.index
-    written = written_locs(test)
-    # Observe the final value of every written location (the oracle
-    # state) plus whatever the condition itself reads.
-    obs_locs = {loc: addrs[loc_index(loc)] for loc in written}
-    for loc, addr in base.final_locs:
-        obs_locs.setdefault(loc, addr)
-    n_regs = len(test.registers)
-    written_set = frozenset(written)
-    real_pred = base.pred
-    outcomes: dict = {}
-    incomplete = 0
-
-    def record(regs, final):
-        nonlocal incomplete
-        if len(regs) == n_regs:
-            key = (
-                tuple(sorted(regs.items())),
-                tuple(sorted(
-                    (loc, v) for loc, v in final.items()
-                    if loc in written_set
-                )),
-            )
-            outcomes[key] = outcomes.get(key, 0) + 1
-        else:
-            incomplete += 1
-        return bool(real_pred(regs, final))
-
-    plan = base._replace(final_locs=tuple(obs_locs.items()), pred=record)
-    n_threads = len(plan.programs)
-    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance
-    )
-    mem: MemorySystem | None = None
-    weak = 0
-    for i in range(executions):
-        rng = BufferedRNG(make_rng(span_seed, i))
-        field = stress_spec.build(
-            profile, instance.scratch_base, instance.scratch_size, rng
-        )
         if mem is None:
             mem = MemorySystem(profile, field, rng)
         else:
@@ -602,21 +511,86 @@ def observed_outcomes(
         else:
             exec_p = (_EXEC_P,) * n_threads
         hit = False
-        for _ in range(rounds):
+        for _ in range(_ROUNDS):
             if round_fn(plan, mem, sms, exec_p, rng):
                 hit = True
-        if hit:
-            weak += 1
-    return OutcomeObservation(outcomes, weak, incomplete)
+                if outcomes is None:
+                    break
+        weak += hit
+    return weak
 
 
-def _litmus_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one execution shard of one litmus instance."""
-    profile, instance, stress_spec, seed, randomise, start, stop = args
-    weak = _litmus_span(
-        profile, instance, stress_spec, seed, randomise, start, stop
+def _run_shard(args: tuple) -> LitmusShard:
+    """Process-pool worker: one shard of one backend's span."""
+    (
+        span, profile, instance, stress_spec, seed, randomise,
+        start, stop, outcomes,
+    ) = args
+    sink = {} if outcomes else None
+    weak = span(
+        profile, instance, stress_spec, seed, randomise, start, stop, sink
     )
-    return LitmusShard(start=start, stop=stop, weak=weak)
+    return LitmusShard(start=start, stop=stop, weak=weak, outcomes=sink)
+
+
+def _run_backend(
+    span,
+    backend: str,
+    profile: HardwareProfile,
+    test: LitmusTest,
+    distance: int,
+    stress_spec,
+    executions: int,
+    seed: int,
+    randomise: bool,
+    parallel: ParallelConfig | None,
+    outcomes: bool,
+    block: int = 1,
+) -> LitmusResult:
+    """The shared body of every backend's public runner.
+
+    Lays ``test`` out at ``distance``, cuts the executions into shards
+    of whole ``block``s (the vector backend's mega-batches; single
+    executions elsewhere), runs ``span`` over each shard — in-process,
+    or on a worker pool when ``parallel`` asks for one — and merges the
+    shards into one :class:`LitmusResult`.  ``span`` is called as
+    ``span(profile, instance, stress_spec, seed, randomise, start, stop,
+    sink)`` and seeds from global indices, so every sharding yields the
+    same result, outcome histogram included.
+    """
+    config = resolve_config(parallel)
+    instance = LitmusInstance.layout(profile, test, distance)
+    n_blocks = -(-executions // block)
+    shards = parallel_map(
+        _run_shard,
+        [
+            (
+                span, profile, instance, stress_spec, seed, randomise,
+                lo * block, min(hi * block, executions), outcomes,
+            )
+            for lo, hi in shard_ranges(n_blocks, config)
+        ],
+        config,
+    )
+    weak = merge_litmus_shards(shards, executions)
+    histogram = None
+    incomplete = 0
+    if outcomes:
+        merged = Counter()
+        for shard in shards:
+            merged.update(shard.outcomes)
+        incomplete = merged.pop(None, 0)
+        histogram = dict(merged)
+    return LitmusResult(
+        test=test.name,
+        distance=distance,
+        weak=weak,
+        executions=executions,
+        location=tuple(getattr(stress_spec, "locations", ()) or ()),
+        backend=backend,
+        outcomes=histogram,
+        incomplete=incomplete,
+    )
 
 
 def run_litmus(
@@ -628,6 +602,7 @@ def run_litmus(
     seed: int = 0,
     randomise: bool = False,
     parallel: ParallelConfig | None = None,
+    outcomes: bool = False,
 ) -> LitmusResult:
     """Run ``executions`` runs of test instance ``T_distance``.
 
@@ -640,33 +615,13 @@ def run_litmus(
     ``parallel`` shards the execution batch across worker processes;
     serial and parallel runs produce identical results because every
     execution is seeded from its global index.
+
+    ``outcomes=True`` also records every round's final state into
+    ``LitmusResult.outcomes`` and ``LitmusResult.incomplete``, at the
+    same weak count.  Recording runs every round of every execution and
+    keys each state, so it is off unless a caller reads the states.
     """
-    config = resolve_config(parallel)
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    if config.serial:
-        weak = _litmus_span(
-            profile, instance, stress_spec, seed, randomise, 0, executions
-        )
-    else:
-        shards = parallel_map(
-            _litmus_shard,
-            [
-                (profile, instance, stress_spec, seed, randomise, start, stop)
-                for start, stop in shard_ranges(executions, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
+    return _run_backend(
+        _litmus_span, "direct", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel, outcomes,
     )

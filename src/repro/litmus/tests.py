@@ -98,6 +98,19 @@ class LitmusTest:
         return tuple(locs)
 
     @cached_property
+    def written_locations(self) -> tuple[str, ...]:
+        """Locations some ``st``/``rmw`` writes: the locations whose
+        final value a state key records.  Every state key sorts its
+        items, so the order here is immaterial."""
+        written = {
+            ins[1]
+            for program in self.threads
+            for ins in program
+            if ins[0] in ("st", "rmw")
+        }
+        return tuple(loc for loc in self.locations if loc in written)
+
+    @cached_property
     def condition_locations(self) -> tuple[str, ...]:
         """Locations whose final value the forbidden outcome queries."""
         return tuple(

@@ -62,14 +62,7 @@ from ..errors import InvalidStressConfigError
 from ..gpu.memory import _PARKED_DRAIN, memory_tables
 from ..gpu.pressure import _THREADS_NORM, StressField
 from ..stress.strategies import NoStress, TunedStress
-from ..parallel import (
-    LitmusShard,
-    ParallelConfig,
-    merge_litmus_shards,
-    parallel_map,
-    resolve_config,
-    shard_ranges,
-)
+from ..parallel import ParallelConfig
 from ..rng import derive_seed, make_rng
 from .ir import And, I_FENCE, I_LOAD, I_RMW, I_STORE, LocEq, Or, RegEq
 from .results import LitmusResult
@@ -78,8 +71,7 @@ from .runner import (
     _MAX_START_DELAY,
     _ROUNDS,
     LitmusInstance,
-    OutcomeObservation,
-    written_locs,
+    _run_backend,
 )
 from .tests import LitmusTest
 
@@ -141,6 +133,8 @@ class _VectorPlan(NamedTuple):
     cond: object
     cond_locs: tuple  # (location name, location index) pairs
     n_locs: int
+    state_regs: tuple  # registers, sorted: the state-key order
+    state_locs: tuple  # (name, index) of written locations, sorted
 
 
 #: Plan cache, keyed by (chip cache token, instance) — the profile
@@ -243,6 +237,11 @@ def _vector_plan(
         cond=test.forbidden,
         cond_locs=cond_locs,
         n_locs=n_locs,
+        state_regs=tuple(sorted(test.registers)),
+        state_locs=tuple(
+            (name, loc_index[name])
+            for name in sorted(test.written_locations)
+        ),
     )
     if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
         _PLAN_CACHE.clear()
@@ -432,14 +431,12 @@ def _race_pair(plan, tab, s1, s2, rng, n):
     s1["C"], s2["C"] = c1, c2
 
 
-def _round_weak(plan, tab, exec_p, flip, rng, n, collect=None):
+def _round_weak(plan, tab, exec_p, flip, rng, n, states=None):
     """One vectorized round; True per lane on the forbidden outcome.
 
-    ``collect(regs, stacks)``, if given, observes the round's raw
-    results before condition evaluation: per-lane register arrays and
-    the per-location ``(keys, vals)`` write stacks.  It must not mutate
-    them (the soundness gate's outcome collector reads them to
-    reconstruct every lane's final state)."""
+    ``states``, if given, is a list the round appends its per-lane
+    final states to (see :func:`_state_rows`); recording draws
+    nothing."""
     delays = rng.integers(0, _MAX_START_DELAY, size=(plan.n_threads, n))
     writes: list = [[] for _ in range(plan.n_locs)]
     reads = []  # (reg, loc, key threshold, forward mask, forwarded value)
@@ -770,9 +767,44 @@ def _round_weak(plan, tab, exec_p, flip, rng, n, collect=None):
         else:
             keys, vals = entry
             final[name] = vals[keys.argmax(axis=0)]
-    if collect is not None:
-        collect(regs, stacks)
+    if states is not None:
+        states.append(_state_rows(plan, regs, stacks, n))
     return _eval_cond(plan.cond, regs, final, n)
+
+
+def _state_rows(plan, regs, stacks, n: int):
+    """One round's final states as an ``(n, registers + written
+    locations)`` matrix in :attr:`_VectorPlan.state_regs` /
+    ``state_locs`` column order.  A location's final value is its write
+    with the greatest commit key (initial 0 if never written)."""
+    columns = [
+        np.broadcast_to(np.asarray(regs[r]), (n,)) for r in plan.state_regs
+    ]
+    for _, loc in plan.state_locs:
+        entry = stacks.get(loc)
+        if entry is None:
+            columns.append(np.zeros(n, dtype=np.int64))
+        else:
+            keys, vals = entry
+            columns.append(vals[keys.argmax(axis=0)])
+    return np.stack(columns, axis=1)
+
+
+def _add_states(outcomes: dict, plan, rows: list) -> None:
+    """Fold a batch's state matrices into the ``outcomes`` histogram,
+    keyed like :func:`repro.axiom.model.observation_key` (the columns
+    are already in sorted-name order)."""
+    states, counts = np.unique(
+        np.concatenate(rows, axis=0), axis=0, return_counts=True
+    )
+    n_regs = len(plan.state_regs)
+    loc_names = tuple(name for name, _ in plan.state_locs)
+    for row, count in zip(states.tolist(), counts.tolist()):
+        key = (
+            tuple(zip(plan.state_regs, row[:n_regs])),
+            tuple(zip(loc_names, row[n_regs:])),
+        )
+        outcomes[key] = outcomes.get(key, 0) + count
 
 
 def _eval_cond(cond, regs, final, n: int):
@@ -806,16 +838,18 @@ def _vector_span(
     stress_spec,
     seed: int,
     randomise: bool,
-    batch_start: int,
-    batch_stop: int,
-    executions: int,
-    lane_block: int,
+    start: int,
+    stop: int,
+    outcomes: dict | None = None,
 ) -> int:
-    """Weak-behaviour count over batches ``[batch_start, batch_stop)``.
+    """Weak-behaviour count over executions ``[start, stop)``.
 
-    Every batch seeds its own generator from the experiment seed and
-    the batch's *global* index — never from shard-local state — so any
-    batch-aligned partition yields identical statistics.
+    ``start`` sits on a :data:`LANE_BLOCK` boundary.  Batch ``b`` covers
+    executions ``[b * LANE_BLOCK, (b + 1) * LANE_BLOCK)`` and seeds its
+    own generator from the experiment seed and ``b`` — never from
+    shard-local state — so any batch-aligned partition yields identical
+    statistics.  ``outcomes``, if given, receives every lane-round's
+    final state; lanes always complete, so none is incomplete.
     """
     plan = _vector_plan(profile, instance)
     span_seed = derive_seed(
@@ -823,12 +857,9 @@ def _vector_span(
         "vector",
     )
     weak = 0
-    for b in range(batch_start, batch_stop):
-        lo = b * lane_block
-        n = min(executions, lo + lane_block) - lo
-        if n <= 0:
-            continue
-        rng = make_rng(span_seed, b)
+    for lo in range(start, stop, LANE_BLOCK):
+        n = min(stop, lo + LANE_BLOCK) - lo
+        rng = make_rng(span_seed, lo // LANE_BLOCK)
         tab = _lane_tables(profile, instance, plan, stress_spec, rng, n)
         if randomise:
             flip = rng.random(n) < 0.5
@@ -836,115 +867,14 @@ def _vector_span(
         else:
             flip = None
             exec_p = [_EXEC_P] * plan.n_threads
+        rows = None if outcomes is None else []
         weak_lanes = np.zeros(n, dtype=bool)
         for _ in range(_ROUNDS):
-            weak_lanes |= _round_weak(plan, tab, exec_p, flip, rng, n)
+            weak_lanes |= _round_weak(plan, tab, exec_p, flip, rng, n, rows)
         weak += int(np.count_nonzero(weak_lanes))
+        if rows is not None:
+            _add_states(outcomes, plan, rows)
     return weak
-
-
-def observed_outcomes_vector(
-    profile: HardwareProfile,
-    test: LitmusTest,
-    distance: int,
-    stress_spec,
-    executions: int,
-    seed: int = 0,
-    randomise: bool = False,
-    lane_block: int = LANE_BLOCK,
-) -> OutcomeObservation:
-    """Run the vector backend and record every lane-round final state.
-
-    Mirrors :func:`_vector_span` (same ``"vector"`` seed label, same
-    lane tables and per-round draws) with a ``collect`` hook attached:
-    after each round the per-lane registers and the final value of
-    every program-written location (the write with the greatest commit
-    key, initial 0 if never written) are stacked into a matrix and
-    deduplicated with ``np.unique``.  Lanes always complete — there is
-    no tick budget here — so ``incomplete`` is always 0.
-    """
-    instance = LitmusInstance.layout(profile, test, distance)
-    plan = _vector_plan(profile, instance)
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "vector"
-    )
-    loc_index = {name: i for i, name in enumerate(test.locations)}
-    written = tuple(
-        (name, loc_index[name]) for name in written_locs(test)
-    )
-    reg_names = tuple(sorted(test.registers))
-    written_sorted = tuple(sorted(written))
-    outcomes: dict = {}
-    weak = 0
-    n_batches = -(-executions // lane_block)
-    for b in range(n_batches):
-        lo = b * lane_block
-        n = min(executions, lo + lane_block) - lo
-        if n <= 0:
-            continue
-        rng = make_rng(span_seed, b)
-        tab = _lane_tables(profile, instance, plan, stress_spec, rng, n)
-        if randomise:
-            flip = rng.random(n) < 0.5
-            exec_p = rng.uniform(0.35, 0.95, size=(plan.n_threads, n))
-        else:
-            flip = None
-            exec_p = [_EXEC_P] * plan.n_threads
-
-        rows: list = []
-
-        def collect(regs, stacks):
-            columns = [
-                np.broadcast_to(np.asarray(regs[r]), (n,))
-                for r in reg_names
-            ]
-            for _, loc in written_sorted:
-                entry = stacks.get(loc)
-                if entry is None:
-                    columns.append(np.zeros(n, dtype=np.int64))
-                else:
-                    keys, vals = entry
-                    columns.append(vals[keys.argmax(axis=0)])
-            rows.append(np.stack(columns, axis=1)
-                        if columns else np.zeros((n, 0), dtype=np.int64))
-
-        weak_lanes = np.zeros(n, dtype=bool)
-        for _ in range(_ROUNDS):
-            weak_lanes |= _round_weak(
-                plan, tab, exec_p, flip, rng, n, collect=collect
-            )
-        weak += int(np.count_nonzero(weak_lanes))
-        states, counts = np.unique(
-            np.concatenate(rows, axis=0), axis=0, return_counts=True
-        )
-        n_regs = len(reg_names)
-        for row, count in zip(states, counts):
-            key = (
-                tuple(zip(reg_names, (int(v) for v in row[:n_regs]))),
-                tuple(
-                    (name, int(v))
-                    for (name, _), v in zip(written_sorted, row[n_regs:])
-                ),
-            )
-            outcomes[key] = outcomes.get(key, 0) + int(count)
-    return OutcomeObservation(outcomes, weak, incomplete=0)
-
-
-def _vector_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one batch-aligned shard of one instance."""
-    (
-        profile, instance, stress_spec, seed, randomise,
-        batch_start, batch_stop, executions, lane_block,
-    ) = args
-    weak = _vector_span(
-        profile, instance, stress_spec, seed, randomise,
-        batch_start, batch_stop, executions, lane_block,
-    )
-    return LitmusShard(
-        start=min(batch_start * lane_block, executions),
-        stop=min(batch_stop * lane_block, executions),
-        weak=weak,
-    )
 
 
 def run_litmus_vector(
@@ -956,7 +886,7 @@ def run_litmus_vector(
     seed: int = 0,
     randomise: bool = False,
     parallel: ParallelConfig | None = None,
-    lane_block: int = LANE_BLOCK,
+    outcomes: bool = False,
 ) -> LitmusResult:
     """Run ``executions`` runs of ``T_distance`` on the vector backend.
 
@@ -967,38 +897,7 @@ def run_litmus_vector(
     mega-batches across workers; serial and parallel runs are
     bit-identical.
     """
-    config = resolve_config(parallel)
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    n_batches = -(-executions // lane_block) if executions > 0 else 0
-    if config.serial or n_batches <= 1:
-        weak = _vector_span(
-            profile, instance, stress_spec, seed, randomise,
-            0, n_batches, executions, lane_block,
-        )
-    else:
-        shards = parallel_map(
-            _vector_shard,
-            [
-                (
-                    profile, instance, stress_spec, seed, randomise,
-                    start, stop, executions, lane_block,
-                )
-                for start, stop in shard_ranges(n_batches, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
-        backend="vector",
+    return _run_backend(
+        _vector_span, "vector", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel, outcomes, block=LANE_BLOCK,
     )

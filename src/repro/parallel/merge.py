@@ -35,11 +35,16 @@ def _check_coverage(shards, n: int, kind: str) -> None:
 
 @dataclass(frozen=True)
 class LitmusShard:
-    """Weak-behaviour count for executions ``[start, stop)``."""
+    """Weak-behaviour count for executions ``[start, stop)``.
+
+    ``outcomes`` is the shard's final-state histogram when the run
+    records one (rounds whose loads did not all resolve count under
+    ``None``), so sharded histograms merge to the serial one."""
 
     start: int
     stop: int
     weak: int
+    outcomes: dict | None = None
 
 
 def merge_litmus_shards(

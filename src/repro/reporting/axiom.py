@@ -19,7 +19,7 @@ from ..axiom.model import (
 from ..axiom.synth import SynthReport
 from ..litmus.ir import format_condition
 from ..litmus.tests import LitmusTest
-from ..litmus.runner import observed_outcomes
+from ..litmus.runner import run_litmus
 from ..stress.strategies import TunedStress
 from ..tuning.pipeline import shipped_params
 from .tables import render_table
@@ -143,11 +143,11 @@ def synth_survey(tests, chips, executions: int, seed: int = 7) -> str:
         row: dict = {"test": test.name}
         for chip in chips:
             spec = TunedStress(shipped_params(chip.short_name))
-            obs = observed_outcomes(
+            result = run_litmus(
                 chip, test, 2 * chip.patch_size, spec, executions,
                 seed=seed,
             )
-            row[chip.short_name] = f"{obs.weak}/{executions}"
+            row[chip.short_name] = f"{result.weak}/{executions}"
         rows.append(row)
     return render_table(
         rows,

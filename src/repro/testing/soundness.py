@@ -5,7 +5,7 @@ litmus test *can* have; the three execution backends (direct, engine,
 vector) sample final states from the simulated memory system.  The gate
 connects the two: it runs every test on every backend at fixed seeds,
 collects *every* observed final state (not just forbidden-condition
-hits, via the backends' ``observed_outcomes*`` collectors), and checks
+hits: each backend's own run loop, with ``outcomes=True``), and checks
 the invariants that make the empirical reproduction trustworthy:
 
 * **soundness** — no backend ever produces an axiomatically forbidden
@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 from ..axiom.model import VERDICT_FORBIDDEN, VERDICT_SC, classify
 from ..chips import SC_REFERENCE, get_chip
-from ..litmus.compile import observed_outcomes_engine
-from ..litmus.runner import observed_outcomes
+from ..litmus import BACKENDS
 from ..litmus.tests import ALL_TESTS
-from ..litmus.vector import observed_outcomes_vector
 from ..stress.strategies import TunedStress
 from ..tuning.pipeline import shipped_params
 
@@ -48,12 +46,6 @@ WEAK_CONDITION_TESTS = (
 #: … and the negative checks whose predicate no allowed execution can
 #: satisfy (the family tests assert these stay silent everywhere).
 FORBIDDEN_CONDITION_TESTS = ("MP-FF", "LB-FF", "SB-FF", "CoRR", "CoWW")
-
-_COLLECTORS = {
-    "direct": observed_outcomes,
-    "engine": observed_outcomes_engine,
-    "vector": observed_outcomes_vector,
-}
 
 #: Fixed-seed gate defaults: enough executions for the weak tests to
 #: actually fire on the vector backend, cheap enough for tier-1.
@@ -164,11 +156,12 @@ def soundness_gate(
             report.sc_agrees,
         ))
         for backend in backends:
-            obs = _COLLECTORS[backend](
-                profile, test, distance, stress, budget[backend], seed=seed
+            result = BACKENDS[backend](
+                profile, test, distance, stress, budget[backend],
+                seed=seed, outcomes=True,
             )
             bad = tuple(sorted(
-                state for state in obs.outcomes
+                state for state in result.outcomes
                 if report.verdict_of(dict(state[0]), dict(state[1]))
                 == VERDICT_FORBIDDEN
             ))
@@ -176,22 +169,22 @@ def soundness_gate(
                 test=test.name,
                 backend=backend,
                 chip=profile.short_name,
-                distinct=len(obs.outcomes),
-                rounds=sum(obs.outcomes.values()) + obs.incomplete,
-                weak=obs.weak,
-                incomplete=obs.incomplete,
+                distinct=len(result.outcomes),
+                rounds=sum(result.outcomes.values()) + result.incomplete,
+                weak=result.weak,
+                incomplete=result.incomplete,
                 forbidden=bad,
             ))
         if check_sc_reference:
             ref_stress = TunedStress(
                 shipped_params(SC_REFERENCE.short_name)
             )
-            obs = observed_outcomes(
+            result = BACKENDS["direct"](
                 SC_REFERENCE, test, 2 * SC_REFERENCE.patch_size,
-                ref_stress, budget["direct"], seed=seed,
+                ref_stress, budget["direct"], seed=seed, outcomes=True,
             )
             non_sc = tuple(sorted(
-                state for state in obs.outcomes
+                state for state in result.outcomes
                 if report.verdict_of(dict(state[0]), dict(state[1]))
                 != VERDICT_SC
             ))

@@ -13,7 +13,6 @@ from repro.axiom.model import (
     classify,
     condition_verdict,
     observation_key,
-    written_locations,
 )
 from repro.litmus.ir import And, RegEq, fence, ld, rmw, st
 from repro.litmus.sc import sc_outcomes
@@ -115,7 +114,7 @@ def test_observation_key_matches_sc_shape():
     test = get_test("MP")
     key = observation_key(test, {"r2": 0, "r1": 1}, {"y": 1, "x": 1})
     assert key == ((("r1", 1), ("r2", 0)), (("x", 1), ("y", 1)))
-    assert written_locations(test) == ("x", "y")
+    assert test.written_locations == ("x", "y")
 
 
 def test_rmw_atomicity_forbids_intervening_write():

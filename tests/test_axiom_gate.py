@@ -3,11 +3,9 @@
 The gate runs all sixteen registry tests on all three execution
 backends at fixed seeds, collects every observed final state, and
 asserts none is axiomatically forbidden — this is the suite CI's
-"soundness-gate" step runs.  The collectors themselves are also pinned
-against their run_* counterparts: at the same seed they must report
-the same weak counts, since each execution draws from its own seed
-stream (running the rounds an early-exit would skip cannot leak into
-later executions).
+"soundness-gate" step runs.  The states come from each backend's own
+run loop with ``outcomes=True``, which is pinned here to report the
+plain run's weak count at the same seed, under any sharding.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ import pytest
 
 from repro.axiom.model import classify
 from repro.chips import SC_REFERENCE
-from repro.litmus.compile import observed_outcomes_engine, run_litmus_compiled
-from repro.litmus.runner import observed_outcomes, run_litmus
+from repro.litmus import BACKENDS, run_litmus
 from repro.litmus.tests import ALL_TESTS, get_test
-from repro.litmus.vector import observed_outcomes_vector, run_litmus_vector
+from repro.parallel import ParallelConfig
 from repro.stress.strategies import TunedStress
 from repro.testing.soundness import DEFAULT_EXECUTIONS, soundness_gate
 from repro.tuning.pipeline import shipped_params
@@ -70,41 +67,56 @@ def test_sc_reference_only_produces_sc_states(gate_report):
         assert not non_sc, (name, non_sc)
 
 
-@pytest.mark.parametrize("name", ["MP", "IRIW", "CoWW"])
-def test_direct_collector_matches_run_litmus(k20, name):
+def _check_outcomes_flag(k20, backend, name):
+    """Recording runs the rounds an early exit would skip, but each
+    execution draws from its own seed stream, so the weak count is the
+    plain run's and every round lands in the histogram."""
+    runner = BACKENDS[backend]
     test = get_test(name)
     spec = TunedStress(shipped_params("K20"))
     d = 2 * k20.patch_size
-    n = DEFAULT_EXECUTIONS["direct"]
-    obs = observed_outcomes(k20, test, d, spec, n, seed=SEED)
-    ref = run_litmus(k20, test, d, spec, n, seed=SEED)
-    assert obs.weak == ref.weak
-    assert obs.incomplete == 0
-    assert sum(obs.outcomes.values()) == n * 8  # every round recorded
+    n = DEFAULT_EXECUTIONS[backend]
+    plain = runner(k20, test, d, spec, n, seed=SEED)
+    recorded = runner(k20, test, d, spec, n, seed=SEED, outcomes=True)
+    assert plain.outcomes is None and plain.incomplete == 0
+    assert recorded.weak == plain.weak
+    assert sum(recorded.outcomes.values()) == n * 8
+    assert recorded.incomplete == 0
+
+
+@pytest.mark.parametrize("name", ["MP", "IRIW", "CoWW"])
+def test_direct_collector_matches_run_litmus(k20, name):
+    _check_outcomes_flag(k20, "direct", name)
 
 
 @pytest.mark.parametrize("name", ["MP", "SB"])
 def test_engine_collector_matches_run_litmus_compiled(k20, name):
-    test = get_test(name)
-    spec = TunedStress(shipped_params("K20"))
-    d = 2 * k20.patch_size
-    n = DEFAULT_EXECUTIONS["engine"]
-    obs = observed_outcomes_engine(k20, test, d, spec, n, seed=SEED)
-    ref = run_litmus_compiled(k20, test, d, spec, n, seed=SEED)
-    assert obs.weak == ref.weak
-    assert sum(obs.outcomes.values()) == n * 8
+    _check_outcomes_flag(k20, "engine", name)
 
 
 @pytest.mark.parametrize("name", ["MP", "2+2W"])
 def test_vector_collector_matches_run_litmus_vector(k20, name):
-    test = get_test(name)
+    _check_outcomes_flag(k20, "vector", name)
+
+
+@pytest.mark.parametrize("backend,executions", [
+    ("direct", 40),
+    ("vector", 3 * 4096 + 17),
+])
+def test_sharded_histogram_equals_serial(k20, backend, executions):
+    """Shards carry their histograms, so ``--jobs N`` records exactly
+    the serial outcomes (the vector run spans four mega-batches)."""
+    runner = BACKENDS[backend]
     spec = TunedStress(shipped_params("K20"))
     d = 2 * k20.patch_size
-    n = DEFAULT_EXECUTIONS["vector"]
-    obs = observed_outcomes_vector(k20, test, d, spec, n, seed=SEED)
-    ref = run_litmus_vector(k20, test, d, spec, n, seed=SEED)
-    assert obs.weak == ref.weak
-    assert sum(obs.outcomes.values()) == n * 8
+    serial = runner(
+        k20, get_test("MP"), d, spec, executions, seed=SEED, outcomes=True
+    )
+    sharded = runner(
+        k20, get_test("MP"), d, spec, executions, seed=SEED, outcomes=True,
+        parallel=ParallelConfig(jobs=2),
+    )
+    assert sharded == serial
 
 
 def test_collectors_observe_weak_states_the_model_allows(k20):
@@ -112,12 +124,12 @@ def test_collectors_observe_weak_states_the_model_allows(k20):
     model's weak-only state (r1=1, r2=0) — soundness with bite."""
     test = get_test("MP")
     spec = TunedStress(shipped_params("K20"))
-    obs = observed_outcomes(
-        k20, test, 2 * k20.patch_size, spec, 60, seed=SEED
+    result = run_litmus(
+        k20, test, 2 * k20.patch_size, spec, 60, seed=SEED, outcomes=True
     )
     report = classify(test)
     weak_states = {
-        s for s in obs.outcomes
+        s for s in result.outcomes
         if report.verdict_of(dict(s[0]), dict(s[1])) == "weak"
     }
     assert weak_states == {((("r1", 1), ("r2", 0)), (("x", 1), ("y", 1)))}
@@ -128,11 +140,12 @@ def test_sc_reference_is_actually_restrictive(sc_ref):
     observes non-SC states, the reference chip none."""
     test = get_test("MP")
     spec = TunedStress(shipped_params(SC_REFERENCE.short_name))
-    obs = observed_outcomes(
-        sc_ref, test, 2 * sc_ref.patch_size, spec, 40, seed=SEED
+    result = run_litmus(
+        sc_ref, test, 2 * sc_ref.patch_size, spec, 40, seed=SEED,
+        outcomes=True,
     )
     report = classify(test)
     assert all(
         report.verdict_of(dict(s[0]), dict(s[1])) == "sc"
-        for s in obs.outcomes
+        for s in result.outcomes
     )

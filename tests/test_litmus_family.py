@@ -23,6 +23,7 @@ import pytest
 from repro.chips import SC_REFERENCE, get_chip
 from repro.litmus import (
     ALL_TESTS,
+    BACKENDS,
     FENCED_VARIANTS,
     MP,
     TUNING_TESTS,
@@ -320,6 +321,21 @@ class TestFamilyDirect:
         assert a.weak == b.weak
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_too_many_threads_rejected(backend, k20):
+    # Every backend lays tests out through LitmusInstance.layout, which
+    # refuses a test wider than the chip's SM count with a clean
+    # ValueError (no raw IndexError out of the memory system).
+    wide = LitmusTest(
+        name="wide",
+        description="",
+        threads=tuple((st("x", 1),) for _ in range(k20.n_sms + 1)),
+        forbidden=LocEq("x", 0),
+    )
+    with pytest.raises(ValueError, match="SMs"):
+        BACKENDS[backend](k20, wide, 64, NoStress(), 4, seed=1)
+
+
 # ----------------------------------------------------------------------
 # the compiled SIMT backend and cross-backend parity
 # ----------------------------------------------------------------------
@@ -333,20 +349,6 @@ class TestCompiledBackend:
             executions=4, seed=11,
         )
         assert 0 <= result.weak <= 4
-
-    def test_too_many_threads_rejected(self, k20):
-        t = LitmusTest(
-            name="wide",
-            description="",
-            threads=tuple((st("x", 1),) for _ in range(k20.n_sms + 1)),
-            forbidden=LocEq("x", 0),
-        )
-        with pytest.raises(ValueError):
-            compile_test(k20, t, 64)
-        # The direct backend rejects it just as cleanly (no raw
-        # IndexError out of the memory system).
-        with pytest.raises(ValueError, match="SMs"):
-            run_litmus(k20, t, 64, NoStress(), 4, seed=1)
 
     @pytest.mark.parametrize(
         "name", ["MP", "LB", "SB", "R", "2+2W", "WRC", "IRIW"]

@@ -201,6 +201,25 @@ class TestRoundTrip:
         reopened = RunLedger.open(tmp_path / "ledger")
         assert decode(reopened.get(key)) == LITMUS
 
+    def test_litmus_outcomes_stay_out_of_the_record(self, tmp_path):
+        # A result run with outcomes on writes exactly today's payload;
+        # the histogram and incomplete count never reach the ledger.
+        recorded = dataclasses.replace(
+            LITMUS,
+            outcomes={((("r1", 1), ("r2", 0)), (("x", 1), ("y", 1))): 3},
+            incomplete=1,
+        )
+        key = litmus_key("K20", "MP", "no-str", 64, 200, 0, "engine")
+        record = store_records.encode_litmus(key, recorded, "K20", 0)
+        assert set(record.payload) == {
+            "chip", "seed", "test", "distance", "weak", "executions",
+            "location", "backend",
+        }
+        assert record == store_records.encode_litmus(key, LITMUS, "K20", 0)
+        ledger = self._ledger(tmp_path)
+        ledger.append(record)
+        assert decode(RunLedger.open(ledger.root).get(key)) == LITMUS
+
     def test_campaign_cell_round_trip(self, tmp_path):
         ledger = self._ledger(tmp_path)
         key = campaign_cell_key("K20", "cbe-dot", "sys-str+", 24, 0)

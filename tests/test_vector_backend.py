@@ -27,12 +27,10 @@ from repro.litmus import (
     ALL_TESTS,
     BACKENDS,
     FENCED_VARIANTS,
-    LitmusTest,
     get_test,
     run_litmus,
     run_litmus_vector,
 )
-from repro.litmus.ir import LocEq, st
 from repro.parallel import ParallelConfig
 from repro.stress.strategies import NoStress, TunedStress
 from repro.testing.stats import (
@@ -342,16 +340,6 @@ class TestVectorMechanics:
             randomise=True,
         )
         assert 0 <= result.weak <= 2048
-
-    def test_too_many_threads_rejected(self, k20):
-        wide = LitmusTest(
-            name="wide",
-            description="",
-            threads=tuple((st("x", 1),) for _ in range(k20.n_sms + 1)),
-            forbidden=LocEq("x", 0),
-        )
-        with pytest.raises(ValueError, match="SMs"):
-            run_litmus_vector(k20, wide, 64, NoStress(), 16, seed=1)
 
     def test_rmw_runs_on_vector(self, k20):
         result = run_litmus_vector(
