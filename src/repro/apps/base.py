@@ -112,12 +112,13 @@ class ApplicationBatch:
     * the kernel launches, post-condition checker and stressing
       geometry (scratchpad, thread ranges, warp counts);
     * one :class:`MemorySystem` (restored via ``reset``) and one
-      :class:`Engine` (re-pointed at each run's generator).
+      :class:`Engine` (re-pointed at each run's generator), which builds
+      each launch's grid on the first run and relaunches it after.
 
     Per run only the seed-derived :class:`BufferedRNG`, the stress field
-    it draws, and the thread coroutines (grid build inside the engine)
-    are fresh.  The draw order is identical to a standalone
-    :func:`run_application` — stress build, stress units, then the
+    it draws, and the thread coroutines (instantiated when the engine
+    relaunches a grid) are fresh.  The draw order is identical to a
+    standalone :func:`run_application` — stress build, stress units, then the
     engine's tick stream — so ``run(seed)`` is bit-identical to a
     single run at the same seed (pinned by the app-path golden
     statistics in ``tests/test_golden_stats.py``).

@@ -10,17 +10,14 @@ class Block:
 
     __slots__ = ("block_id", "sm", "warps", "threads")
 
-    def __init__(self, block_id: int, sm: int, warps: list[Warp]):
+    def __init__(self, block_id: int, warps: list[Warp]):
         self.block_id = block_id
-        self.sm = sm
+        #: Set per run by :meth:`repro.gpu.grid.Grid.relaunch`.
+        self.sm = 0
         self.warps = warps
         self.threads: list[SimThread] = [
             t for warp in warps for t in warp.threads
         ]
-
-    @property
-    def finished(self) -> bool:
-        return all(t.done for t in self.threads)
 
     def barrier_ready(self) -> bool:
         """True when the block barrier can release.

@@ -18,12 +18,19 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   completion reads the grid's maintained live-thread counter, each
   thread carries its SM (no per-run key->SM dict), and warp runnability
   transitions are pushed to the scheduler's incremental runnable list.
-* Operations dispatch through a table keyed on the op kind instead of
-  an if-chain, and each thread's per-op scratch dict is reused
-  (cleared, not reallocated) across operations.
-* None of this touches a random draw: the scheduler consumes the same
-  stream in the same order, so fixed-seed executions are bit-identical
-  (pinned by the app-path golden statistics).
+* One burst loop does all per-op work: it holds the thread's current
+  op, its sticky per-op scratch dict and the value to send in locals,
+  resumes the coroutine with ``send`` and dispatches on the op kind
+  with an if-chain in frequency order (load, noop, rmw, store, fence,
+  barrier, issue, poll), writing the thread's state back once per
+  burst.
+* Each engine keeps the grid of every (kernel, launch config) it has
+  run and relaunches it on the next run of that launch (fresh
+  coroutines, per-run fields reset, the same block shuffle draw), so a
+  batch builds thread, warp and block objects once per launch.
+* None of this touches a random draw: the memory system and scheduler
+  are called in the same order, so fixed-seed executions are
+  bit-identical (pinned by the app-path golden statistics).
 """
 
 from __future__ import annotations
@@ -48,11 +55,10 @@ from .events import (
     OP_STORE,
     STALL,
 )
-from .grid import build_grid
+from .grid import Grid, build_grid
 from .kernel import Kernel, LaunchConfig
 from .memory import MemorySystem
 from .scheduler import WarpScheduler
-from .warp import SimThread
 
 #: Default tick budget per kernel (the paper's 30 s timeout analogue).
 DEFAULT_MAX_TICKS = 400_000
@@ -120,7 +126,11 @@ class Engine:
 
     One instance may execute many runs back to back; the batch driver
     (:class:`repro.apps.base.ApplicationBatch`) re-points ``rng`` and
-    ``n_stress_units`` between runs instead of reconstructing it.
+    ``n_stress_units`` between runs instead of reconstructing it.  The
+    engine keeps the :class:`Grid` of every launch it has run, keyed by
+    the kernel object's identity and its :class:`LaunchConfig`
+    (kernels are not hashable: compiled litmus kernels carry a dict),
+    and relaunches it on the next run of that launch.
     """
 
     __slots__ = (
@@ -131,8 +141,7 @@ class Engine:
         "n_stress_units",
         "randomise",
         "raise_on_timeout",
-        "_grid",
-        "_scheduler",
+        "_grids",
     )
 
     def __init__(
@@ -152,8 +161,7 @@ class Engine:
         self.n_stress_units = n_stress_units
         self.randomise = randomise
         self.raise_on_timeout = raise_on_timeout
-        self._grid = None
-        self._scheduler: WarpScheduler | None = None
+        self._grids: dict[tuple[int, LaunchConfig], Grid] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -163,18 +171,25 @@ class Engine:
         fence_sites: frozenset[str] = frozenset(),
     ) -> ExecutionResult:
         """Execute one kernel launch to completion (or timeout)."""
-        grid = build_grid(
-            kernel,
-            config,
-            self.chip.n_sms,
-            fence_sites=fence_sites,
-            randomise_rng=self.rng if self.randomise else None,
-        )
+        randomise_rng = self.rng if self.randomise else None
+        launch = (id(kernel), config)
+        grid = self._grids.get(launch)
+        if grid is None:
+            grid = self._grids[launch] = build_grid(
+                kernel,
+                config,
+                self.chip.n_sms,
+                fence_sites=fence_sites,
+                randomise_rng=randomise_rng,
+            )
+        else:
+            # The geometry depends only on the config, and every
+            # coroutine is re-instantiated from ``kernel``, so even a
+            # recycled ``id`` relaunches correctly.
+            grid.relaunch(kernel, self.chip.n_sms, fence_sites, randomise_rng)
         scheduler = WarpScheduler(
             grid.warps, self.n_stress_units, self.rng, self.randomise
         )
-        self._grid = grid
-        self._scheduler = scheduler
         mem = self.memory
         swaps0, byp0, slow0 = mem.n_swaps, mem.n_bypasses, mem.n_slow_loads
 
@@ -184,46 +199,120 @@ class Engine:
         barrier_blocks: set[int] = set()
         timed_out = False
         max_ticks = self.max_ticks
+        fence_cycles = self.chip.fence_stall_cycles
         pick = scheduler.pick
+        note_unrunnable = scheduler.note_unrunnable
         step = mem.step
-        exec_op = self._exec
+        read = mem.read
+        write = mem.write
+        rmw = mem.rmw
 
-        try:
-            while grid.n_live:
-                ticks += 1
-                if ticks > max_ticks:
-                    timed_out = True
-                    break
-                warp = pick()
-                if warp is not None:
-                    for thread in warp.threads:
-                        if thread.sleep_until > ticks:
-                            continue
-                        for _ in range(BURST):
-                            if thread.done or thread.at_barrier:
+        while grid.n_live:
+            ticks += 1
+            if ticks > max_ticks:
+                timed_out = True
+                break
+            warp = pick()
+            if warp is not None:
+                for thread in warp.threads:
+                    if (
+                        thread.sleep_until > ticks
+                        or thread.done
+                        or thread.at_barrier
+                    ):
+                        continue
+                    sm = thread.sm
+                    key = thread.key
+                    op = thread.op
+                    state = thread.op_state
+                    value = thread.to_send
+                    # Up to BURST ops.  A stalled op (STALL, full
+                    # buffer, fence still draining) ends the burst and
+                    # stays pending with its sticky ``state``; ``value``
+                    # means nothing until it completes.  A completed op
+                    # leaves ``op`` None and ``value`` the result to send
+                    # on the next resume.
+                    for _ in range(BURST):
+                        if op is None:
+                            try:
+                                op = thread.gen.send(value)
+                            except StopIteration:
+                                thread.done = True
+                                grid.n_live -= 1
+                                warp.n_active -= 1
+                                if not warp.n_active:
+                                    note_unrunnable(warp)
                                 break
-                            stall, fenced, progressed = exec_op(thread)
-                            if stall:
-                                # The fencing thread waits out the
-                                # pipeline flush; other warps keep
-                                # running (fence stalls overlap across
-                                # threads).
-                                thread.sleep_until = ticks + stall
-                                fence_stalls += stall
-                            n_fences += fenced
-                            if thread.at_barrier:
-                                barrier_blocks.add(warp.block_id)
+                        kind = op[0]
+                        if kind == OP_LOAD:
+                            value = read(sm, key, op[1], state)
+                            if value is STALL:
                                 break
-                            if not progressed:
+                            if state:
+                                state.clear()
+                        elif kind == OP_NOOP:
+                            value = None
+                        elif kind == OP_RMW:
+                            value = rmw(sm, key, op[1], op[2], state)
+                            if value is STALL:
                                 break
-                step()
-                if barrier_blocks:
-                    self._release_barriers(grid, barrier_blocks)
-        finally:
-            # A kernel programming error escaping the loop must not
-            # leave the grid pinned on a batch-held engine.
-            self._grid = None
-            self._scheduler = None
+                            if state:
+                                state.clear()
+                        elif kind == OP_STORE:
+                            if not write(sm, key, op[1], op[2]):
+                                break
+                            value = None
+                        elif kind == OP_FENCE:
+                            if "pending" not in state:
+                                state["pending"] = mem.thread_pending(sm, key)
+                                mem.fence_begin(key)
+                            if not mem.fence_done(sm, key):
+                                break
+                            if state["pending"]:
+                                # The fence actually waited on the write
+                                # pipeline.
+                                cost = fence_cycles
+                            else:
+                                # Nothing to drain: a fence after a load
+                                # (or an already-drained store) costs
+                                # almost nothing.
+                                cost = 2
+                            if op[1] != FENCE_DEVICE:
+                                # Block-level fences are cheap.
+                                cost = cost // 4 + 1
+                            state.clear()
+                            # The fencing thread waits out the pipeline
+                            # flush from the next tick on; other warps
+                            # keep running (fence stalls overlap across
+                            # threads), and so does this burst.
+                            thread.sleep_until = ticks + cost
+                            fence_stalls += cost
+                            n_fences += 1
+                            value = None
+                        elif kind == OP_BARRIER:
+                            thread.at_barrier = True
+                            op = value = None
+                            warp.n_active -= 1
+                            if not warp.n_active:
+                                note_unrunnable(warp)
+                            barrier_blocks.add(warp.block_id)
+                            break
+                        elif kind == OP_ISSUE:
+                            value = mem.issue_load(sm, key, op[1])
+                        elif kind == OP_POLL:
+                            value = mem.poll_load(op[1])
+                            if value is STALL:
+                                break
+                        else:
+                            raise ValueError(
+                                f"unknown op {op!r} from thread {key}"
+                            )
+                        op = None
+                    thread.op = op
+                    thread.to_send = value
+            step()
+            if barrier_blocks:
+                self._release_barriers(grid, scheduler, barrier_blocks)
 
         # The loop only exits with every thread finished or the tick
         # budget exhausted; live_threads() additionally cross-checks the
@@ -258,135 +347,9 @@ class Engine:
         assert result is not None, "run_all needs at least one kernel"
         return result
 
-    # ------------------------------------------------------------------
-    # per-operation handlers (dispatched on the op kind)
-    # ------------------------------------------------------------------
-    def _exec(self, thread: SimThread) -> tuple[int, int, bool]:
-        """Attempt one operation for one thread.
-
-        Returns (fence stall cycles charged, fences completed, whether
-        the operation completed — False means the thread is stalled and
-        its burst ends).
-        """
-        op = thread.op
-        if op is None:
-            if not self._advance(thread):
-                return 0, 0, False
-            op = thread.op
-        try:
-            handler = _OP_HANDLERS[op[0]]
-        except KeyError:  # pragma: no cover - kernel programming error
-            raise ValueError(
-                f"unknown op {op!r} from thread {thread.key}"
-            ) from None
-        return handler(self, thread, op)
-
-    def _op_store(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        if self.memory.write(thread.sm, thread.key, op[1], op[2]):
-            self._complete(thread, None)
-            return 0, 0, True
-        return 0, 0, False
-
-    def _op_load(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        value = self.memory.read(
-            thread.sm, thread.key, op[1], thread.op_state
-        )
-        if value is not STALL:
-            self._complete(thread, value)
-            return 0, 0, True
-        return 0, 0, False
-
-    def _op_rmw(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        old = self.memory.rmw(
-            thread.sm, thread.key, op[1], op[2], thread.op_state
-        )
-        if old is not STALL:
-            self._complete(thread, old)
-            return 0, 0, True
-        return 0, 0, False
-
-    def _op_issue(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        handle = self.memory.issue_load(thread.sm, thread.key, op[1])
-        self._complete(thread, handle)
-        return 0, 0, True
-
-    def _op_poll(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        value = self.memory.poll_load(op[1])
-        if value is not STALL:
-            self._complete(thread, value)
-            return 0, 0, True
-        return 0, 0, False
-
-    def _op_fence(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        mem = self.memory
-        op_state = thread.op_state
-        if not op_state.get("begun"):
-            op_state["pending"] = mem.thread_pending(thread.sm, thread.key)
-            mem.fence_begin(thread.key)
-            op_state["begun"] = True
-        if mem.fence_done(thread.sm, thread.key):
-            had_pending = op_state.get("pending", False)
-            self._complete(thread, None)
-            if had_pending:
-                # The fence actually waited on the write pipeline.
-                cost = self.chip.fence_stall_cycles
-            else:
-                # Nothing to drain: a fence after a load (or an
-                # already-drained store) costs almost nothing.
-                cost = 2
-            if op[1] != FENCE_DEVICE:
-                cost = cost // 4 + 1  # block-level fences are cheap
-            return cost, 1, True
-        return 0, 0, False
-
-    def _op_barrier(
-        self, thread: SimThread, op: tuple
-    ) -> tuple[int, int, bool]:
-        thread.at_barrier = True
-        thread.op = None
-        thread.to_send = None
-        warp = thread.warp
-        warp.n_active -= 1
-        if not warp.n_active:
-            self._scheduler.note_unrunnable(warp)
-        return 0, 0, True
-
-    def _op_noop(self, thread: SimThread, op: tuple) -> tuple[int, int, bool]:
-        self._complete(thread, None)
-        return 0, 0, True
-
-    @staticmethod
-    def _complete(thread: SimThread, value: object) -> None:
-        thread.op = None
-        state = thread.op_state
-        if state:
-            state.clear()
-        thread.to_send = value
-
-    def _advance(self, thread: SimThread) -> bool:
-        """Pull the next op from the coroutine; False if it finished."""
-        try:
-            if thread.started:
-                op = thread.gen.send(thread.to_send)
-            else:
-                thread.started = True
-                op = next(thread.gen)
-        except StopIteration:
-            thread.done = True
-            self._grid.n_live -= 1
-            warp = thread.warp
-            warp.n_active -= 1
-            if not warp.n_active:
-                self._scheduler.note_unrunnable(warp)
-            return False
-        thread.op = op
-        state = thread.op_state
-        if state:
-            state.clear()
-        thread.to_send = None
-        return True
-
-    def _release_barriers(self, grid, barrier_blocks: set[int]) -> None:
+    def _release_barriers(
+        self, grid: Grid, scheduler: WarpScheduler, barrier_blocks: set[int]
+    ) -> None:
         done = []
         for block_id in barrier_blocks:
             block = grid.blocks[block_id]
@@ -394,22 +357,8 @@ class Engine:
                 for thread in block.release_barrier():
                     warp = thread.warp
                     if not warp.n_active:
-                        self._scheduler.note_runnable(warp)
+                        scheduler.note_runnable(warp)
                     warp.n_active += 1
                     self.memory.drain_thread(block.sm, thread.key)
                 done.append(block_id)
         barrier_blocks.difference_update(done)
-
-
-#: Op-kind dispatch table (module level so it is built once; handlers
-#: are plain functions taking the engine instance explicitly).
-_OP_HANDLERS = {
-    OP_STORE: Engine._op_store,
-    OP_LOAD: Engine._op_load,
-    OP_RMW: Engine._op_rmw,
-    OP_FENCE: Engine._op_fence,
-    OP_BARRIER: Engine._op_barrier,
-    OP_NOOP: Engine._op_noop,
-    OP_ISSUE: Engine._op_issue,
-    OP_POLL: Engine._op_poll,
-}

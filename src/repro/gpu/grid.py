@@ -24,9 +24,13 @@ class Grid:
     """All blocks of one kernel launch.
 
     ``n_live`` counts threads whose coroutines have not finished; the
-    engine decrements it exactly once per thread (when ``_advance`` sees
-    ``StopIteration``), which makes the per-tick termination check O(1)
-    instead of a scan over every thread.
+    engine's burst loop decrements it exactly once per thread (when a
+    coroutine raises ``StopIteration``), which makes the per-tick
+    termination check O(1) instead of a scan over every thread.
+
+    The objects depend only on the launch geometry, so an engine builds
+    a grid once per launch and :meth:`relaunch`-es it on every later
+    run.
     """
 
     __slots__ = ("blocks", "threads", "warps", "n_live")
@@ -38,10 +42,6 @@ class Grid:
         for index, warp in enumerate(self.warps):
             warp.index = index
         self.n_live = len(self.threads)
-
-    @property
-    def finished(self) -> bool:
-        return self.n_live == 0
 
     def live_threads(self) -> int:
         """Number of unfinished threads (the maintained counter).
@@ -59,6 +59,42 @@ class Grid:
             )
         return n
 
+    def relaunch(
+        self,
+        kernel: Kernel,
+        n_sms: int,
+        fence_sites: frozenset[str],
+        randomise_rng: np.random.Generator | None,
+    ) -> None:
+        """Set every per-run field for a launch of ``kernel``.
+
+        Blocks go to SMs round-robin, or shuffled (one draw, before any
+        coroutine exists) under randomisation; every thread gets a fresh
+        coroutine; and whatever engine-side state the previous run left
+        behind is cleared (a timed-out run may stop with threads holding
+        a stalled op, parked at a barrier or asleep after a fence).
+        """
+        sm_of_block = list(range(len(self.blocks)))
+        if randomise_rng is not None:
+            randomise_rng.shuffle(sm_of_block)
+        for block, sm in zip(self.blocks, sm_of_block):
+            sm %= n_sms
+            block.sm = sm
+            for thread in block.threads:
+                ctx = thread.ctx
+                ctx.fence_sites = fence_sites
+                thread.gen = kernel.instantiate(ctx)
+                thread.sm = sm
+                thread.op = None
+                thread.op_state.clear()
+                thread.to_send = None
+                thread.done = False
+                thread.at_barrier = False
+                thread.sleep_until = 0
+        for warp in self.warps:
+            warp.n_active = len(warp.threads)
+        self.n_live = len(self.threads)
+
 
 def build_grid(
     kernel: Kernel,
@@ -67,19 +103,18 @@ def build_grid(
     fence_sites: frozenset[str] = frozenset(),
     randomise_rng: np.random.Generator | None = None,
 ) -> Grid:
-    """Instantiate every thread coroutine and group into warps/blocks.
+    """Group threads into warps and blocks, then launch the grid.
 
-    Each thread's SM is stored on the thread itself (blocks are pinned
-    to SMs for the whole launch), so the engine needs no per-run
-    key-to-SM mapping.
+    Only the launch geometry is fixed here; :meth:`Grid.relaunch` sets
+    every per-run field (block SMs, coroutines, fence sites), for this
+    first run and for every later run of the same launch.  Each
+    thread's SM is stored on the thread itself (blocks are pinned to
+    SMs for the whole launch), so the engine needs no per-run key-to-SM
+    mapping.
     """
-    sm_of_block = list(range(config.grid_dim))
-    if randomise_rng is not None:
-        randomise_rng.shuffle(sm_of_block)
     blocks = []
     key = 0
     for block_id in range(config.grid_dim):
-        sm = sm_of_block[block_id] % n_sms
         warps = []
         for warp_id in range(config.warps_per_block):
             lo = warp_id * config.warp_size
@@ -92,12 +127,11 @@ def build_grid(
                     block_dim=config.block_dim,
                     grid_dim=config.grid_dim,
                     warp_size=config.warp_size,
-                    fence_sites=fence_sites,
                 )
-                threads.append(
-                    SimThread(key, ctx, kernel.instantiate(ctx), sm=sm)
-                )
+                threads.append(SimThread(key, ctx))
                 key += 1
             warps.append(Warp(block_id, warp_id, threads))
-        blocks.append(Block(block_id, sm, warps))
-    return Grid(blocks)
+        blocks.append(Block(block_id, warps))
+    grid = Grid(blocks)
+    grid.relaunch(kernel, n_sms, fence_sites, randomise_rng)
+    return grid

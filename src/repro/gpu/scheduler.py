@@ -24,7 +24,7 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   :class:`~repro.rng.BufferedRNG` keeps serving scalar draws from its
   pre-draw block instead of degrading to direct delegation.
 * The non-runnable fallback no longer rebuilds ``[w for w in warps if
-  w.runnable]`` per pick: the engine reports every warp runnability
+  w.n_active]`` per pick: the engine reports every warp runnability
   transition (thread finished, parked at or released from a barrier)
   and the scheduler maintains the runnable list incrementally, in warp
   order, so the fallback ``integers(len(runnable))`` draw and its
@@ -78,7 +78,7 @@ class WarpScheduler:
         # Runnable warps in grid order (all warps start with at least
         # one active thread).  The engine calls note_unrunnable /
         # note_runnable on the exact transitions, so membership always
-        # equals ``[w for w in self.warps if w.runnable]``.
+        # equals ``[w for w in self.warps if w.n_active]``.
         self._runnable = list(warps)
         if randomise:
             self._redraw_weights()

@@ -6,12 +6,12 @@ scratch, barrier/done flags).  A :class:`Warp` groups threads that advance
 together: when the scheduler picks a warp, every active thread in it
 attempts one operation — the simulator's rendering of SIMT lock-step.
 
-Hot-path bookkeeping: each thread stores its SM (assigned at grid build,
+Hot-path bookkeeping: each thread stores its SM (assigned per launch,
 replacing a per-run key->SM dict) and a back-reference to its warp, and
 each warp maintains an ``n_active`` counter so runnability is an O(1)
 attribute read instead of an O(warp-size) scan per scheduler pick.  The
 engine owns the counter transitions (thread finished, thread parked at a
-barrier, barrier released); ``Warp.runnable`` just reads it.
+barrier, barrier released); the scheduler just reads it.
 """
 
 from __future__ import annotations
@@ -31,30 +31,24 @@ class SimThread:
         "op",
         "op_state",
         "to_send",
-        "started",
         "done",
         "at_barrier",
         "sleep_until",
     )
 
-    def __init__(self, key: int, ctx: ThreadContext, gen, sm: int = 0):
+    def __init__(self, key: int, ctx: ThreadContext):
         self.key = key
         self.ctx = ctx
-        self.gen = gen
-        self.sm = sm
+        # Per-run fields from here on (set by Grid.relaunch).
+        self.gen = None
+        self.sm = 0
         self.warp: "Warp | None" = None
         self.op: tuple | None = None
         self.op_state: dict = {}
         self.to_send: object = None
-        self.started = False
         self.done = False
         self.at_barrier = False
         self.sleep_until = 0
-
-    @property
-    def active(self) -> bool:
-        """Thread can make progress this tick."""
-        return not self.done and not self.at_barrier
 
 
 class Warp:
@@ -69,17 +63,9 @@ class Warp:
         #: the scheduler keeps its runnable list in this order.
         self.index = 0
         self.threads = threads
-        #: Threads that are neither done nor parked at a barrier.  The
-        #: engine decrements/increments this on the corresponding thread
-        #: transitions; it must always equal ``sum(t.active)``.
+        #: Threads that are neither done nor parked at a barrier, i.e.
+        #: ``sum(not (t.done or t.at_barrier) for t in threads)``; the
+        #: engine updates it on each of those thread transitions.
         self.n_active = len(threads)
         for thread in threads:
             thread.warp = self
-
-    @property
-    def finished(self) -> bool:
-        return all(t.done for t in self.threads)
-
-    @property
-    def runnable(self) -> bool:
-        return self.n_active > 0

@@ -6,6 +6,7 @@ import pytest
 from repro.chips import SC_REFERENCE, get_chip
 from repro.gpu.addresses import AddressSpace
 from repro.gpu.engine import Engine, Outcome
+from repro.gpu.events import OP_LOAD
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import MemorySystem
 from repro.gpu.pressure import StressField
@@ -231,3 +232,182 @@ class TestLaunchConfig:
 
     def test_n_threads(self):
         assert LaunchConfig(3, 5, 4).n_threads == 15
+
+
+def _parking_kernel(ctx, flag, data):
+    """Leaves each thread of a 4-thread SC block in a different state
+    after one tick: 0 finished, 1 holding a stalled load, 2 parked at a
+    barrier 1 and 3 never reach, 3 asleep after a fence.  All spin on
+    ``flag`` until the host sets it."""
+    if ctx.tid == 0:
+        return
+    if ctx.tid == 1:
+        yield from ctx.store(data, 0, 1)
+        # SC loads never bypass the thread's own buffered store.
+        yield from ctx.load(data, 32)
+    elif ctx.tid == 2:
+        yield from ctx.syncthreads()
+    else:
+        yield from ctx.fence_device()
+    while (yield from ctx.load(flag, 0, site="spin")) == 0:
+        yield from ctx.compute(1)
+
+
+def _only_grid(engine):
+    (grid,) = engine._grids.values()
+    return grid
+
+
+class TestBurstLoop:
+    def test_fence_mid_burst_keeps_the_burst_and_sleeps_next_tick(self):
+        def kernel(ctx):
+            yield from ctx.fence_device()
+            yield from ctx.compute(4)
+
+        # Tick 1: fence (no stores to drain: 2 cycles) + 3 noops; tick 2
+        # asleep; tick 3: the last noop and the exit.
+        result, _ = run_kernel(kernel, [], grid=1, block=1, warp=1)
+        assert result.n_fences == 1
+        assert result.fence_stall_cycles == 2
+        assert result.ticks == 3
+
+    def test_stalled_op_ends_the_burst_and_keeps_its_state(self):
+        space = AddressSpace()
+        data = space.alloc("data", 64)
+
+        def kernel(ctx, data):
+            yield from ctx.store(data, 0, 1)
+            yield from ctx.load(data, 32)
+            yield from ctx.compute(2)
+
+        chip = SC_REFERENCE
+        mem = MemorySystem(chip, StressField.zero(chip),
+                           np.random.default_rng(0))
+        engine = Engine(chip, mem, np.random.default_rng(1), max_ticks=1)
+        result = engine.run(Kernel("k", kernel, (data,)),
+                            LaunchConfig(1, 1, 1))
+        assert result.timed_out
+        (thread,) = _only_grid(engine).threads
+        assert thread.op == (OP_LOAD, data.addr(32))
+        assert thread.op_state == {"waiting": True}
+
+    def test_unknown_op_names_the_op_and_the_thread(self):
+        def kernel(ctx):
+            if ctx.tid == 1:
+                yield ("bogus", 7)
+
+        with pytest.raises(ValueError,
+                           match=r"unknown op \('bogus', 7\) from thread 1"):
+            run_kernel(kernel, [], grid=1, block=2, warp=2)
+
+
+class TestGridRelaunch:
+    @staticmethod
+    def _timeout_then_finish(randomise, reuse):
+        """A timed-out run, a host write that lets the kernel finish,
+        then a second run on the same engine or a fresh one."""
+        chip = SC_REFERENCE
+        space = AddressSpace()
+        flag = space.alloc("flag", 1)
+        data = space.alloc("data", 64)
+        mem = MemorySystem(chip, StressField.zero(chip),
+                           np.random.default_rng(0))
+        kernel = Kernel("park", _parking_kernel, (flag, data))
+        config = LaunchConfig(1, 4, 4)
+        engine = Engine(chip, mem, np.random.default_rng(1), max_ticks=1,
+                        randomise=randomise)
+        first = engine.run(kernel, config, fence_sites=frozenset({"spin"}))
+        assert first.timed_out
+        t0, t1, t2, t3 = _only_grid(engine).threads
+        assert t0.done
+        assert t1.op is not None and t1.op_state
+        assert t2.at_barrier
+        assert t3.sleep_until > first.ticks
+
+        mem.host_write(flag, 0, 1)
+        if reuse:
+            engine.rng = np.random.default_rng(2)
+            engine.max_ticks = 1000
+        else:
+            engine = Engine(chip, mem, np.random.default_rng(2),
+                            max_ticks=1000, randomise=randomise)
+        second = engine.run(kernel, config)
+        # Equal next draws: both runs made the same draws in total.
+        return (second, dict(mem.mem), mem.rng.random(),
+                engine.rng.random())
+
+    @pytest.mark.parametrize("randomise", [False, True])
+    def test_timed_out_grid_relaunches_like_a_fresh_engine(self, randomise):
+        reused = self._timeout_then_finish(randomise, reuse=True)
+        fresh = self._timeout_then_finish(randomise, reuse=False)
+        assert reused[0].outcome is Outcome.OK
+        assert reused[0].n_fences == 1
+        assert reused == fresh
+
+    def test_randomised_relaunch_replays_the_block_shuffle(self):
+        chip = get_chip("K20")
+        space = AddressSpace()
+        data = space.alloc("data", 32)
+        out = space.alloc("out", 32)
+
+        def kernel(ctx, data, out):
+            g = ctx.global_tid()
+            yield from ctx.store(data, g, g + 1)
+            yield from ctx.syncthreads()
+            v = yield from ctx.load(data, (g + 1) % ctx.n_threads)
+            yield from ctx.store(out, g, v)
+
+        kernel = Kernel("k", kernel, (data, out))
+        config = LaunchConfig(8, 4, 2)
+
+        def runs(reuse):
+            mem = MemorySystem(chip, StressField.zero(chip),
+                               np.random.default_rng(0))
+            engine = None
+            rows = []
+            for seed in (10, 11, 12):
+                if reuse and engine is not None:
+                    engine.rng = np.random.default_rng(seed)
+                else:
+                    engine = Engine(chip, mem, np.random.default_rng(seed),
+                                    n_stress_units=3, randomise=True)
+                result = engine.run(kernel, config)
+                grid = _only_grid(engine)
+                sms = [block.sm for block in grid.blocks]
+                thread_sms = [thread.sm for thread in grid.threads]
+                rows.append((result, sms, thread_sms, dict(mem.mem)))
+            return rows
+
+        reused = runs(reuse=True)
+        assert reused == runs(reuse=False)
+        assert len({tuple(row[1]) for row in reused}) == 3
+
+    def test_same_kernel_new_config_gets_a_fresh_grid(self):
+        space = AddressSpace()
+        out = space.alloc("out", 16)
+
+        def kernel(ctx, out):
+            yield from ctx.store(out, ctx.global_tid(), ctx.global_tid() + 1)
+
+        kernel = Kernel("k", kernel, (out,))
+        small, large = LaunchConfig(1, 4, 4), LaunchConfig(2, 8, 4)
+        chip = SC_REFERENCE
+
+        def run(reuse):
+            mem = MemorySystem(chip, StressField.zero(chip),
+                               np.random.default_rng(0))
+            engine = Engine(chip, mem, np.random.default_rng(1))
+            engine.run(kernel, small)
+            if reuse:
+                engine.rng = np.random.default_rng(2)
+            else:
+                engine = Engine(chip, mem, np.random.default_rng(2))
+            result = engine.run(kernel, large)
+            return engine, result, dict(mem.mem)
+
+        engine, result, image = run(reuse=True)
+        assert len(engine._grids) == 2
+        assert [image.get(out.addr(i), 0) for i in range(16)] == list(
+            range(1, 17)
+        )
+        assert (result, image) == run(reuse=False)[1:]
