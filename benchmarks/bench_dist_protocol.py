@@ -25,6 +25,14 @@ contract).  Recorded per side: wall-clock, blocking lease round trips
 The acceptance floor (ISSUE 9): the pipelined+adaptive run completes
 the grid with at least :data:`_MIN_RT_RATIO` x fewer blocking round
 trips than the sync one-unit-per-lease run.
+
+Round-trip counts cannot show a stall that both sides pay per unit,
+so a second record, ``dist_loopback``, runs the same grid over plain
+loopback TCP with no fault plan (protocol v3, adaptive leases) and
+compares its wall clock per unit with executing the same units
+in-process.  Its ceiling, :data:`_MAX_LOOPBACK_MS_PER_UNIT`, catches a
+stalled wire: a Nagle/delayed-ACK stall alone costs tens of
+milliseconds per unit.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import time
 from repro.dist import Coordinator, WorkerStats, run_worker
 from repro.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.litmus.units import litmus_unit
+from repro.parallel import run_units
 from repro.store import litmus_key
 from repro.stress.strategies import NoStress
 
@@ -48,6 +57,9 @@ _EXECUTIONS = 8
 _DELAY_S = float(os.environ.get("REPRO_BENCH_DIST_DELAY_S", "0.003"))
 #: Acceptance floor: sync blocking round trips / pipelined ones.
 _MIN_RT_RATIO = 5.0
+#: Acceptance ceiling on the loopback wire: wall clock per unit (ms).
+#: The grid executes in about 2 ms per unit in-process.
+_MAX_LOOPBACK_MS_PER_UNIT = 10.0
 
 _TESTS = ["MP", "SB", "LB", "CoRR", "R", "S", "WRC", "IRIW"]
 
@@ -198,4 +210,41 @@ def test_dist_protocol_ab(bench_json):
         f"prefetched lease(s), "
         f"{pipe_wire.compressed_out + pipe_wire.compressed_in} "
         f"compressed frame(s))"
+    )
+
+
+def test_dist_loopback(bench_json):
+    """The same grid over real loopback TCP, no injected latency: what
+    one unit costs end to end against executing it in-process."""
+    units = _grid()
+    reference = run_units(units)  # also warms the memo tables
+    started = time.perf_counter()
+    run_units(units)
+    execute_s = time.perf_counter() - started
+    wall, records, stats, wire = _run_side(
+        units, protocol=3, units_per_lease=None, compress=True
+    )
+    assert [r.to_json() for r in records] == [
+        r.to_json() for r in reference
+    ]
+    assert stats.executed == len(units)
+
+    ms_per_unit = wall * 1000.0 / len(units)
+    bench_json["dist_loopback"] = {
+        "units": len(units),
+        "wall_s": round(wall, 3),
+        "ms_per_unit": round(ms_per_unit, 2),
+        "execute_ms_per_unit": round(execute_s * 1000.0 / len(units), 2),
+        "blocking_grants": stats.blocking_grants,
+        "prefetched_grants": stats.prefetched_grants,
+        "wait_sleeps": stats.wait_sleeps,
+        "leases_served": stats.leases_served,
+        "coordinator_wire_bytes": wire.wire_out + wire.wire_in,
+        "max_ms_per_unit": _MAX_LOOPBACK_MS_PER_UNIT,
+    }
+    print(f"\ndist loopback: {bench_json['dist_loopback']}")
+    assert ms_per_unit < _MAX_LOOPBACK_MS_PER_UNIT, (
+        f"loopback wire costs {ms_per_unit:.1f} ms per unit against "
+        f"{execute_s * 1000.0 / len(units):.1f} ms in-process; over the "
+        f"{_MAX_LOOPBACK_MS_PER_UNIT:.0f} ms ceiling"
     )

@@ -63,6 +63,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
+    nodelay,
     send_message,
 )
 
@@ -307,6 +308,7 @@ class Coordinator:
     ) -> None:
         assert self._listener is not None
         sock, addr = self._listener.accept()
+        nodelay(sock)
         self._conn_count += 1
         client = _Client(
             sock, ident=f"conn-{self._conn_count}", stats=self.wire

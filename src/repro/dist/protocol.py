@@ -144,6 +144,21 @@ class WireStats:
         )
 
 
+def nodelay(sock: socket.socket) -> socket.socket:
+    """Turn off Nagle's algorithm on a dist TCP socket; returns it.
+
+    Each unit a worker completes goes out as two small writes (its
+    ``result-part``, then a ``heartbeat``) followed by a blocking read
+    of the ``beat`` ack.  With Nagle on, the second write waits for the
+    first one's ACK, which the peer's delayed-ACK timer may hold for
+    tens of milliseconds: one idle stall per unit.  Called wherever the
+    dist layer opens a TCP connection (accept, connect, reconnect);
+    AF_UNIX socketpairs have no Nagle and do not accept the option.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def encode_frame(message: dict, compress: bool = False) -> bytes:
     """One message as bytes ready for ``sendall``.
 

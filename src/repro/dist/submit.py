@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -154,14 +155,34 @@ class DistributedSubmit:
                     return None
 
                 coordinator.stop_check = all_dead
-            return coordinator.serve()
-        finally:
-            for proc in self.procs:
-                if proc.poll() is None:
-                    proc.terminate()
+            records = coordinator.serve()
+        except BaseException:
+            self._reap(graceful=False)
+            raise
+        self._reap(graceful=True)
+        return records
+
+    def _reap(self, graceful: bool) -> None:
+        """Stop the spawned workers, each within a 10 s bound.
+
+        After a clean ``serve`` every worker was sent ``done`` and is
+        already exiting, so ``graceful`` waits first and terminates only
+        a worker still running after the bound (a SIGTERM would only
+        make it log a drain it has no use for).  On failure the workers
+        may hold leases of an aborted campaign: terminate first."""
+        if graceful:
+            deadline = time.monotonic() + 10
             for proc in self.procs:
                 try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    proc.wait()
+                    proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    pass
+        for proc in self.procs:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in self.procs:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+                proc.wait()

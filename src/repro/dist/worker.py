@@ -50,6 +50,7 @@ the floor, and ``worker.prefetch`` can ``skip`` the pipelined request
 from __future__ import annotations
 
 import math
+import select
 import socket
 import time
 from typing import Callable
@@ -64,6 +65,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
+    nodelay,
     recv_message,
     send_message,
 )
@@ -130,8 +132,8 @@ def _connect_retry(
     deadline = time.monotonic() + connect_timeout
     while True:
         try:
-            return socket.create_connection(
-                (host, port), timeout=connect_timeout
+            return nodelay(
+                socket.create_connection((host, port), timeout=connect_timeout)
             )
         except OSError as exc:
             if time.monotonic() >= deadline:
@@ -157,8 +159,12 @@ class WorkerStats:
 
     ``blocking_grants`` counts request round-trips the worker had to
     *wait* for (idle on the wire); ``prefetched_grants`` counts grants
-    whose request was pipelined behind execution.  ``wire`` carries the
-    raw-vs-compressed byte accounting for every frame either way.
+    whose request was pipelined behind execution.  ``wait_sleeps``
+    counts ``wait`` grants: each parks the worker on its socket for up
+    to ``retry_s``, and a ``done`` (or a closed connection) ends the
+    park early.  The name predates the socket wait and is kept because
+    it is a key of the protocol benchmark's records.  ``wire`` carries
+    the raw-vs-compressed byte accounting for every frame either way.
     """
 
     def __init__(self) -> None:
@@ -230,8 +236,10 @@ def run_worker(
                     first = False
                 else:
                     try:
-                        sock = socket.create_connection(
-                            (host, port), timeout=SOCKET_TIMEOUT_S
+                        sock = nodelay(
+                            socket.create_connection(
+                                (host, port), timeout=SOCKET_TIMEOUT_S
+                            )
                         )
                     except OSError as exc:
                         raise _ConnectionLost(
@@ -461,18 +469,14 @@ class _Session:
             grant = self._obtain_grant()
             kind = grant["type"]
             if kind == "done":
-                self.log(
-                    f"{self.name}: campaign complete; executed "
-                    f"{self.state.executed} units"
-                )
-                return self.state.executed
-            if kind == "wait":
+                self.done_seen = True
+            elif kind == "wait":
                 self.stats.wait_sleeps += 1
-                time.sleep(clamp_retry_s(grant.get("retry_s", 0.5)))
-                continue
-            if kind != "lease":
+                self._park(clamp_retry_s(grant.get("retry_s", 0.5)))
+            elif kind == "lease":
+                self.state.executed += self._serve_lease(grant)
+            else:
                 raise ProtocolError(f"unexpected message {kind!r}")
-            self.state.executed += self._serve_lease(grant)
             if self.done_seen:
                 self.log(
                     f"{self.name}: campaign complete; executed "
@@ -540,6 +544,25 @@ class _Session:
             raise ProtocolError(
                 f"unexpected message {kind!r} while awaiting a lease"
             )
+
+    def _park(self, retry_s: float) -> None:
+        """Honour a ``wait`` grant by waiting on the socket, not asleep:
+        a ``done`` broadcast ends the wait at once (``done_seen``) and a
+        closed connection raises :class:`_ConnectionLost`; ``retry_s``
+        of silence means the lease loop asks again.
+
+        No request is outstanding and every heartbeat ack preceded the
+        ``wait`` on the stream, so ``done`` is the only frame that can
+        arrive here."""
+        if self.decoder.pending or select.select(
+            [self.sock], [], [], retry_s
+        )[0]:
+            kind = self._recv()["type"]
+            if kind != "done":
+                raise ProtocolError(
+                    f"unexpected message {kind!r} while waiting to retry"
+                )
+            self.done_seen = True
 
     def _maybe_prefetch(self, lease_id: int) -> None:
         """Pipeline the next request behind the current lease's

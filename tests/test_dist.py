@@ -11,6 +11,7 @@ the lease model promises to absorb: worker death (EOF), silent hangs
 
 import dataclasses
 import socket
+import subprocess
 import sys
 import threading
 
@@ -497,6 +498,26 @@ class TestDistributedSubmit:
             **args, submit=DistributedSubmit(workers=2)
         )
         assert distributed == serial
+
+    def test_clean_run_reaps_workers_without_terminate(self, monkeypatch):
+        # Every worker was sent ``done`` and is exiting by itself; a
+        # SIGTERM on the success path would only make it log a drain.
+        # The units are slow enough (~0.25 s each) that both workers
+        # connect long before the campaign can finish.
+        terminated = []
+        real_terminate = subprocess.Popen.terminate
+
+        def counting_terminate(proc):
+            terminated.append(proc.pid)
+            real_terminate(proc)
+
+        monkeypatch.setattr(subprocess.Popen, "terminate", counting_terminate)
+        units = _plan(n=8, executions=1000)
+        submit = DistributedSubmit(workers=2)
+        records = submit(units, None, None)
+        assert [r.key for r in records] == [u.key for u in units]
+        assert terminated == []
+        assert [proc.returncode for proc in submit.procs] == [0, 0]
 
     def test_all_workers_dead_aborts(self, monkeypatch):
         import repro.dist.submit as submit_module

@@ -13,13 +13,16 @@ at every layer boundary:
 * the v3<->v2 handshake downgrade in both directions (old worker on a
   new coordinator, new worker told to speak v2);
 * lease pipelining and ``result-part`` streaming end to end, with the
-  byte-identity contract checked against a serial run.
+  byte-identity contract checked against a serial run;
+* the idle-free wire: ``TCP_NODELAY`` on every dist TCP socket, and a
+  worker parked on ``wait`` that wakes on ``done`` or a closed socket.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 import zlib
 
 import pytest
@@ -45,8 +48,9 @@ from repro.dist.coordinator import (
     WAIT_RETRY_S,
 )
 from repro.dist.leases import EWMA_ALPHA, TAIL_FACTOR
-from repro.dist.worker import _Session
+from repro.dist.worker import RETRY_MAX_S, _ConnectionLost, _Session
 from repro.errors import DistError, ProtocolError
+from repro.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.litmus.units import litmus_unit
 from repro.parallel import run_units
 from repro.parallel.executor import SERIAL
@@ -609,6 +613,123 @@ class TestResultPartStreaming:
         assert streamed == [0, 1]  # fresh merges only, once each
         # The worker's self-reported timing fed the controller.
         assert coordinator._table.service_ewma  # noqa: SLF001
+
+
+# ---------------------------------------------------------------------------
+# The idle-free wire: Nagle off, and a parked worker wakes on its socket
+
+
+def _nodelay_flag(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestIdleFreeWire:
+    def test_every_dist_tcp_socket_sets_nodelay(self, monkeypatch):
+        accepted = []
+
+        class ProbedCoordinator(Coordinator):
+            def _accept(self, selector, clients):
+                before = set(clients)
+                super()._accept(selector, clients)
+                accepted.extend(
+                    _nodelay_flag(sock) for sock in set(clients) - before
+                )
+
+        dialled = []
+        session_run = _Session.run
+
+        def probed_run(session):
+            dialled.append(_nodelay_flag(session.sock))
+            return session_run(session)
+
+        monkeypatch.setattr(_Session, "run", probed_run)
+        # A coordinator restart after the second merge forces the
+        # worker through its reconnect path.
+        install(
+            FaultPlan(
+                name="restart-once",
+                seed=0,
+                specs=(
+                    FaultSpec(
+                        "coordinator.merge", "restart", skip=1,
+                        max_fires=1, role="coordinator",
+                    ),
+                ),
+            ),
+            role="coordinator",
+        )
+        try:
+            units = _units(n=4)
+            coordinator = ProbedCoordinator(units)
+            host, port = coordinator.bind()
+            thread, box = _serve_in_thread(coordinator)
+            run_worker(host, port, name="dialler", reconnect_timeout=20)
+            thread.join(timeout=30)
+        finally:
+            uninstall()
+        assert not thread.is_alive()
+        assert [r.key for r in box["records"]] == [u.key for u in units]
+        # The first connection, then at least one reconnect, on both
+        # ends of the wire.
+        assert len(dialled) >= 2 and len(accepted) >= 2
+        assert dialled == [1] * len(dialled)
+        assert accepted == [1] * len(accepted)
+
+    def _start_parked(self, left, right):
+        """Run a session's lease loop in a thread, its first grant a
+        ``wait`` at the retry ceiling; returns once the worker parked."""
+        send_message(left, {"type": "wait", "retry_s": RETRY_MAX_S})
+        session = _Session(right, name="parked")
+        session.negotiated = 3
+        box = {}
+
+        def target():
+            try:
+                box["executed"] = session._lease_loop()
+            except Exception as exc:  # noqa: BLE001 - surfaced by the test
+                box["error"] = exc
+            box["returned"] = time.monotonic()
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        assert recv_message(left, FrameDecoder()) == {"type": "request"}
+        deadline = time.monotonic() + 10
+        while not session.stats.wait_sleeps:
+            assert time.monotonic() < deadline, "worker never parked"
+            time.sleep(0.01)
+        time.sleep(0.1)
+        return thread, box
+
+    def test_parked_worker_wakes_on_done(self):
+        left, right = socket.socketpair()
+        left.settimeout(10)
+        right.settimeout(10)
+        try:
+            thread, box = self._start_parked(left, right)
+            sent = time.monotonic()
+            send_message(left, {"type": "done"})
+            thread.join(timeout=RETRY_MAX_S + 5)
+        finally:
+            left.close()
+            right.close()
+        assert not thread.is_alive()
+        assert "error" not in box
+        assert box["executed"] == 0
+        assert box["returned"] - sent < 1.0
+
+    def test_parked_worker_sees_a_closed_connection(self):
+        left, right = socket.socketpair()
+        left.settimeout(10)
+        right.settimeout(10)
+        try:
+            thread, box = self._start_parked(left, right)
+            left.close()
+            thread.join(timeout=RETRY_MAX_S + 5)
+        finally:
+            left.close()
+            right.close()
+        assert not thread.is_alive()
+        assert isinstance(box.get("error"), _ConnectionLost)
 
 
 # ---------------------------------------------------------------------------
