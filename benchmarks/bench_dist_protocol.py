@@ -33,15 +33,28 @@ compares its wall clock per unit with executing the same units
 in-process.  Its ceiling, :data:`_MAX_LOOPBACK_MS_PER_UNIT`, catches a
 stalled wire: a Nagle/delayed-ACK stall alone costs tens of
 milliseconds per unit.
+
+A third record, ``worker_startup``, is the median wall clock of
+:data:`_STARTUP_CALLS` ``DistributedSubmit(workers=1)`` calls that each
+serve one tiny unit: a spawned worker's interpreter start-up and
+imports, its hello, one unit and the teardown.  It has no bound; it
+tracks what every ``--dist`` call pays before any unit can run.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import threading
 import time
 
-from repro.dist import Coordinator, WorkerStats, run_worker
+from repro.dist import (
+    Coordinator,
+    DistributedSubmit,
+    WorkerStats,
+    run_worker,
+    worker_command,
+)
 from repro.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.litmus.units import litmus_unit
 from repro.parallel import run_units
@@ -60,6 +73,8 @@ _MIN_RT_RATIO = 5.0
 #: Acceptance ceiling on the loopback wire: wall clock per unit (ms).
 #: The grid executes in about 2 ms per unit in-process.
 _MAX_LOOPBACK_MS_PER_UNIT = 10.0
+#: Calls the ``worker_startup`` record takes the median of.
+_STARTUP_CALLS = 5
 
 _TESTS = ["MP", "SB", "LB", "CoRR", "R", "S", "WRC", "IRIW"]
 
@@ -248,3 +263,24 @@ def test_dist_loopback(bench_json):
         f"{execute_s * 1000.0 / len(units):.1f} ms in-process; over the "
         f"{_MAX_LOOPBACK_MS_PER_UNIT:.0f} ms ceiling"
     )
+
+
+def test_worker_startup(bench_json):
+    """One spawned worker serving one tiny unit, start to reap."""
+    unit = _grid(1)[0]
+    walls = []
+    for _ in range(_STARTUP_CALLS):
+        submit = DistributedSubmit(workers=1)
+        started = time.perf_counter()
+        records = submit([unit], None, None)
+        walls.append(time.perf_counter() - started)
+        assert [r.key for r in records] == [unit.key]
+        assert [proc.returncode for proc in submit.procs] == [0]
+    bench_json["worker_startup"] = {
+        "entry": " ".join(worker_command("127.0.0.1", 0, "w")[1:3]),
+        "calls": _STARTUP_CALLS,
+        "median_s": round(statistics.median(walls), 3),
+        "min_s": round(min(walls), 3),
+        "max_s": round(max(walls), 3),
+    }
+    print(f"\nworker start-up: {bench_json['worker_startup']}")

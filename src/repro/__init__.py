@@ -31,93 +31,71 @@ True
 True
 """
 
-from .apps.base import (
-    ApplicationBatch,
-    AppRun,
-    Application,
-    run_application,
-    run_application_batch,
-)
-from .apps.registry import all_applications, get_application
-from .chips.registry import SC_REFERENCE, all_chips, get_chip
-from .errors import ReproError
-from .gpu.engine import Engine, ExecutionResult, Outcome
-from .gpu.memory import MemorySystem
-from .gpu.pressure import StressField
-from .hardening.insertion import empirical_fence_insertion
-from .litmus.compile import backend_parity, run_litmus_compiled
-from .litmus.runner import run_litmus
-from .litmus.tests import (
-    ALL_TESTS,
-    LB,
-    MP,
-    SB,
-    TUNING_TESTS,
-    LitmusTest,
-    get_test,
-)
-from .scale import DEFAULT, PAPER, SMOKE, Scale, get_scale
-from .store import RunLedger
-from .stress.config import StressConfig
-from .stress.environment import TestingEnvironment, standard_environments
-from .stress.strategies import (
-    CacheStress,
-    FixedLocationStress,
-    NoStress,
-    RandomStress,
-    TunedStress,
-)
-from .testing.campaign import run_campaign
-from .testing.summary import table5_summary
-from .tuning.pipeline import shipped_params, tune_chip
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppRun",
-    "Application",
-    "ApplicationBatch",
-    "run_application",
-    "run_application_batch",
-    "all_applications",
-    "get_application",
-    "SC_REFERENCE",
-    "all_chips",
-    "get_chip",
-    "ReproError",
-    "Engine",
-    "ExecutionResult",
-    "Outcome",
-    "MemorySystem",
-    "StressField",
-    "empirical_fence_insertion",
-    "run_litmus",
-    "run_litmus_compiled",
-    "backend_parity",
-    "MP",
-    "LB",
-    "SB",
-    "ALL_TESTS",
-    "TUNING_TESTS",
-    "LitmusTest",
-    "get_test",
-    "Scale",
-    "SMOKE",
-    "DEFAULT",
-    "PAPER",
-    "get_scale",
-    "RunLedger",
-    "StressConfig",
-    "TestingEnvironment",
-    "standard_environments",
-    "NoStress",
-    "TunedStress",
-    "RandomStress",
-    "CacheStress",
-    "FixedLocationStress",
-    "run_campaign",
-    "table5_summary",
-    "shipped_params",
-    "tune_chip",
-    "__version__",
-]
+#: Defining module of every public name.  Names resolve on first access
+#: through the module ``__getattr__`` (PEP 562), so importing one
+#: submodule loads only the layers that submodule imports: a spawned
+#: distributed worker never loads the apps, tuning or reporting layers.
+_EXPORTS = {
+    ".apps.base": (
+        "AppRun",
+        "Application",
+        "ApplicationBatch",
+        "run_application",
+        "run_application_batch",
+    ),
+    ".apps.registry": ("all_applications", "get_application"),
+    ".chips.registry": ("SC_REFERENCE", "all_chips", "get_chip"),
+    ".errors": ("ReproError",),
+    ".gpu.engine": ("Engine", "ExecutionResult", "Outcome"),
+    ".gpu.memory": ("MemorySystem",),
+    ".gpu.pressure": ("StressField",),
+    ".hardening.insertion": ("empirical_fence_insertion",),
+    ".litmus.runner": ("run_litmus",),
+    ".litmus.compile": ("run_litmus_compiled", "backend_parity"),
+    ".litmus.tests": (
+        "MP",
+        "LB",
+        "SB",
+        "ALL_TESTS",
+        "TUNING_TESTS",
+        "LitmusTest",
+        "get_test",
+    ),
+    ".scale": ("Scale", "SMOKE", "DEFAULT", "PAPER", "get_scale"),
+    ".store.ledger": ("RunLedger",),
+    ".stress.config": ("StressConfig",),
+    ".stress.environment": ("TestingEnvironment", "standard_environments"),
+    ".stress.strategies": (
+        "NoStress",
+        "TunedStress",
+        "RandomStress",
+        "CacheStress",
+        "FixedLocationStress",
+    ),
+    ".testing.campaign": ("run_campaign",),
+    ".testing.summary": ("table5_summary",),
+    ".tuning.pipeline": ("shipped_params", "tune_chip"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

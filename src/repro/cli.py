@@ -40,11 +40,12 @@ from .apps.registry import APP_ORDER, get_application
 from .apps.registry import all_applications
 from .chips.registry import CHIP_ORDER, all_chips, get_chip
 from .dist.leases import DEFAULT_TARGET_LEASE_S
+from .dist.worker import add_worker_arguments, main as worker_main
 from .errors import ReproError
 from .hardening.insertion import empirical_fence_insertion
 from .litmus import BACKENDS
 from .litmus.tests import ALL_TESTS, get_test, test_names
-from .parallel import ParallelConfig
+from .parallel import ParallelConfig, jobs_arg
 from .reporting.experiments import (
     DISTRIBUTABLE,
     EXPERIMENTS,
@@ -76,21 +77,6 @@ def _test_arg(value: str) -> str:
             f"unknown litmus test {value!r} "
             f"(choose from {', '.join(_TEST_NAMES)})"
         ) from None
-
-
-def _jobs_arg(value: str) -> int:
-    """argparse type for ``--jobs``: a non-negative worker count."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}"
-        ) from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            "jobs must be >= 0 (0 = one per CPU)"
-        )
-    return n
 
 
 def _lease_units_arg(value: str) -> int:
@@ -133,7 +119,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=jobs_arg,
         default=None,
         metavar="N",
         help=(
@@ -245,21 +231,6 @@ def _stderr_log(message: str) -> None:
     print(f"gpu-wmm: {message}", file=sys.stderr)
 
 
-def _parse_connect(value: str) -> tuple[str, int]:
-    """Parse a ``host:port`` target."""
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
-        raise ReproError(
-            f"--connect expects host:port, got {value!r}"
-        )
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ReproError(
-            f"--connect expects a numeric port, got {port!r}"
-        ) from None
-
-
 def _cmd_coordinate(args: argparse.Namespace) -> int:
     from .dist import DistributedSubmit
 
@@ -288,50 +259,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
         print(f"gpu-wmm: error: {exc}", file=sys.stderr)
         return 2
     print(text)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import os
-    import signal
-
-    from .dist import run_worker
-
-    if args.faults:
-        # Export rather than install directly: the injector auto-loads
-        # from the environment in this process *and* in every pool
-        # child this worker spawns (see repro.faults.runtime).
-        from .faults.runtime import PLAN_ENV, ROLE_ENV
-
-        os.environ[PLAN_ENV] = args.faults
-        os.environ.setdefault(ROLE_ENV, "worker")
-    draining = {"requested": False}
-
-    def request_drain(signum, frame) -> None:
-        if not draining["requested"]:
-            _stderr_log(
-                f"{args.name}: SIGTERM received; draining (starting "
-                "nothing new, releasing held leases, then bye)"
-            )
-        draining["requested"] = True
-
-    try:
-        signal.signal(signal.SIGTERM, request_drain)
-    except ValueError:  # pragma: no cover - non-main-thread embedding
-        pass
-    host, port = _parse_connect(args.connect)
-    run_worker(
-        host,
-        port,
-        name=args.name,
-        jobs=args.jobs if args.jobs is not None else 1,
-        max_units=args.max_units,
-        delay=args.delay,
-        connect_timeout=args.connect_timeout,
-        reconnect_timeout=args.reconnect_timeout,
-        drain_check=lambda: draining["requested"],
-        log=_stderr_log,
-    )
     return 0
 
 
@@ -730,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_experiment_filters(p)
     p.add_argument(
         "--dist",
-        type=_jobs_arg,
+        type=jobs_arg,
         default=None,
         metavar="N",
         help=(
@@ -773,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dist",
-        type=_jobs_arg,
+        type=jobs_arg,
         default=0,
         metavar="N",
         help=(
@@ -794,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lease_args(p)
     p.add_argument(
         "--worker-jobs",
-        type=_jobs_arg,
+        type=jobs_arg,
         default=1,
         metavar="N",
         help="process-pool width inside each self-spawned worker",
@@ -806,66 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="join a coordinator and execute leased work units",
     )
-    p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (as printed by gpu-wmm coordinate)",
-    )
-    p.add_argument(
-        "--name",
-        default="worker",
-        help="worker name shown in coordinator logs",
-    )
-    p.add_argument(
-        "--max-units",
-        type=int,
-        default=None,
-        metavar="N",
-        help="leave voluntarily after executing N units",
-    )
-    p.add_argument(
-        "--delay",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="sleep S seconds before each lease (straggler simulation)",
-    )
-    p.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="S",
-        help="keep retrying the initial connect for S seconds",
-    )
-    p.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=None,
-        metavar="N",
-        help="process-pool width for executing each lease (default: 1)",
-    )
-    p.add_argument(
-        "--reconnect-timeout",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help=(
-            "ride out a coordinator outage for up to S seconds via "
-            "backoff-and-reconnect before giving up (default: 30; "
-            "0 = fail immediately on any connection loss)"
-        ),
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help=(
-            "arm this worker (and its pool children) with a "
-            "fault-injection plan for chaos testing"
-        ),
-    )
-    p.set_defaults(fn=_cmd_worker)
+    add_worker_arguments(p)
+    p.set_defaults(fn=worker_main)
 
     p = sub.add_parser(
         "chaos",

@@ -6,9 +6,11 @@ results are keyed and seeded identically wherever they run, so the
 coordinator's content-key merge is provably byte-identical to a
 single-machine run.  Protocol v3 adds lease pipelining, adaptive lease
 sizing, incremental result streaming and frame compression — all
-negotiated per connection, with v2 peers served unchanged.  See
-``docs/ARCHITECTURE.md`` ("Distributed campaigns") for the frame
-format, the lease lifecycle, and the merge invariants.
+negotiated per connection, with v2 peers served unchanged.
+``python -m repro.dist`` runs one worker (:func:`repro.dist.worker.main`,
+also the ``repro worker`` subcommand).  See ``docs/ARCHITECTURE.md``
+("Distributed campaigns") for the frame format, the lease lifecycle,
+and the merge invariants.
 """
 
 from .coordinator import (

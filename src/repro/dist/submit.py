@@ -4,10 +4,11 @@
 ``submit(units, config, on_record) -> records`` (see
 :func:`repro.store.resume.submit_units`) — but serves the units through
 a :class:`~repro.dist.coordinator.Coordinator` to worker subprocesses
-it spawns on this machine (``repro worker --connect``).  Remote
-machines join the same campaign by running that command against the
-coordinator's address; ``workers=0`` spawns nothing and waits for
-external workers only.
+it spawns on this machine (``python -m repro.dist --connect``, the
+lean entry of the ``repro worker`` command).  Remote machines join the
+same campaign by running either command against the coordinator's
+address; ``workers=0`` spawns nothing and waits for external workers
+only.
 
 This is what ``--dist N`` on the CLI resolves to, and what CI uses to
 prove byte-identity between distributed and serial runs without any
@@ -37,15 +38,17 @@ def worker_command(
     fault_plan: str | None = None,
     reconnect_timeout: float | None = None,
 ) -> list[str]:
-    """The argv that joins a worker to a coordinator — the same command
-    a remote machine runs by hand.  ``fault_plan`` (a plan JSON path)
+    """The argv that joins a worker to a coordinator: ``python -m
+    repro.dist``, which takes the options of ``repro worker`` and so is
+    the same command a remote machine runs by hand.  It starts faster,
+    because it imports the distributed layer only, not every layer the
+    ``repro`` command line reaches.  ``fault_plan`` (a plan JSON path)
     arms the worker's fault injector; ``reconnect_timeout`` overrides
     how long it rides out a coordinator outage."""
     argv = [
         sys.executable,
         "-m",
-        "repro",
-        "worker",
+        "repro.dist",
         "--connect",
         f"{host}:{port}",
         "--name",
@@ -76,6 +79,10 @@ def _worker_env() -> dict[str, str]:
 @dataclass
 class DistributedSubmit:
     """Submit backend that coordinates ``workers`` local subprocesses.
+
+    Each call binds a coordinator, spawns its workers with
+    :func:`worker_command` (``python -m repro.dist``) and reaps them
+    when the units are served; nothing outlives the call.
 
     ``worker_jobs`` is each worker's internal pool width;
     ``units_per_lease`` fixes the grant batch size (None, the default,

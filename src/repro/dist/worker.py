@@ -36,28 +36,37 @@ Failure handling is explicit at every layer:
   idempotently.  ``reconnect_timeout`` bounds the total outage ridden
   out (0 disables reconnection: any loss is immediately fatal, the
   pre-v2 behaviour);
-* ``drain_check`` (wired to SIGTERM by the CLI) requests a graceful
-  exit: the worker stops starting units, reports what it finished,
-  releases its prefetched lease and leaves the rest of the current
-  lease unreported — the coordinator re-pends those *without* charging
-  their budgets — and says ``bye``.
+* ``drain_check`` (wired to SIGTERM by :func:`main`) requests a
+  graceful exit: the worker stops starting units, reports what it
+  finished, releases its prefetched lease and leaves the rest of the
+  current lease unreported — the coordinator re-pends those *without*
+  charging their budgets — and says ``bye``.  A worker in reconnect
+  backoff has no connection to say it on and simply returns.
 
 Fault sites here: ``worker.heartbeat`` (kind ``drop``) loses a beat on
 the floor, and ``worker.prefetch`` can ``skip`` the pipelined request
 (falling back to the blocking path) or ``delay`` it.
+
+:func:`main` is the worker's command line, run as ``python -m
+repro.dist`` (what :func:`~repro.dist.submit.worker_command` spawns)
+and as the ``repro worker`` subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import select
+import signal
 import socket
+import sys
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
-from ..errors import ProtocolError, WorkerExitError
-from ..faults.runtime import fault_at
-from ..parallel.executor import SERIAL, ParallelConfig
+from ..errors import ProtocolError, ReproError, WorkerExitError
+from ..faults.runtime import PLAN_ENV, ROLE_ENV, fault_at
+from ..parallel.executor import SERIAL, ParallelConfig, jobs_arg
 from ..parallel.plan import WorkUnit, execute_unit, run_units
 from ..rng import derive_seed
 from .protocol import (
@@ -87,6 +96,9 @@ _CONNECT_RETRY_S = 0.1
 
 #: Default total outage a worker rides out before giving up.
 RECONNECT_TIMEOUT_S = 30.0
+
+#: How often a worker in reconnect backoff polls ``drain_check``.
+_DRAIN_POLL_S = 0.1
 
 
 class _ConnectionLost(Exception):
@@ -142,6 +154,23 @@ def _connect_retry(
                     f"within {connect_timeout:g}s: {exc}"
                 ) from exc
             time.sleep(_CONNECT_RETRY_S)
+
+
+def _drain_during(
+    pause: float, drain_check: Callable[[], bool] | None
+) -> bool:
+    """Sleep ``pause`` seconds unless a drain is requested first;
+    True when it was.  The flag is read before, during and at the end
+    of the pause, so a reconnect attempt never starts after a drain
+    request."""
+    deadline = time.monotonic() + pause
+    while True:
+        if drain_check is not None and drain_check():
+            return True
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        time.sleep(min(remaining, _DRAIN_POLL_S))
 
 
 class _WorkerState:
@@ -207,8 +236,9 @@ def run_worker(
     * ``reconnect_timeout`` — total mid-campaign outage to ride out via
       backoff-and-reconnect before giving up (0 = fail immediately on
       any loss);
-    * ``drain_check`` — polled between units; True requests a graceful
-      drain (finish nothing new, release the leases, say ``bye``);
+    * ``drain_check`` — polled between units and during reconnect
+      backoff; True requests a graceful drain (finish nothing new,
+      release the leases, say ``bye``; in backoff, just return);
     * ``protocol`` — highest protocol version to offer in ``hello``
       (lowering it to 2 reproduces the synchronous v2 worker exactly);
     * ``pipeline`` / ``compress`` — opt out of lease prefetching or
@@ -293,7 +323,12 @@ def run_worker(
                     f"{name}: connection lost ({exc}); reconnect attempt "
                     f"{attempt} in {pause:.2f}s"
                 )
-                time.sleep(pause)
+                if _drain_during(pause, drain_check):
+                    log(
+                        f"{name}: draining on request while reconnecting; "
+                        f"executed {state.executed} units"
+                    )
+                    return state.executed
     finally:
         stats.executed = state.executed
 
@@ -832,3 +867,149 @@ class _Session:
             )
             return None
         return records, failed, streamed
+
+
+# ---------------------------------------------------------------------------
+# Command line
+
+
+def _stderr_log(message: str) -> None:
+    """Worker progress goes to stderr, prefixed like every other
+    ``gpu-wmm`` message."""
+    print(f"gpu-wmm: {message}", file=sys.stderr)
+
+
+def _parse_connect(value: str) -> tuple[str, int]:
+    """Parse a ``host:port`` target."""
+    host, sep, port = value.rpartition(":")
+    if not sep or not host:
+        raise ReproError(
+            f"--connect expects host:port, got {value!r}"
+        )
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ReproError(
+            f"--connect expects a numeric port, got {port!r}"
+        ) from None
+
+
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Define the worker's options on ``parser``; ``python -m
+    repro.dist`` and the ``repro worker`` subcommand share them."""
+    parser.add_argument(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="coordinator address (as printed by gpu-wmm coordinate)",
+    )
+    parser.add_argument(
+        "--name",
+        default="worker",
+        help="worker name shown in coordinator logs",
+    )
+    parser.add_argument(
+        "--max-units",
+        type=int,
+        default=None,
+        metavar="N",
+        help="leave voluntarily after executing N units",
+    )
+    parser.add_argument(
+        "--delay",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help="sleep S seconds before each lease (straggler simulation)",
+    )
+    parser.add_argument(
+        "--connect-timeout",
+        type=float,
+        default=10.0,
+        metavar="S",
+        help="keep retrying the initial connect for S seconds",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=jobs_arg,
+        default=None,
+        metavar="N",
+        help="process-pool width for executing each lease (default: 1)",
+    )
+    parser.add_argument(
+        "--reconnect-timeout",
+        type=float,
+        default=RECONNECT_TIMEOUT_S,
+        metavar="S",
+        help=(
+            "ride out a coordinator outage for up to S seconds via "
+            "backoff-and-reconnect before giving up (default: 30; "
+            "0 = fail immediately on any connection loss)"
+        ),
+    )
+    parser.add_argument(
+        "--faults",
+        default=None,
+        metavar="PLAN.json",
+        help=(
+            "arm this worker (and its pool children) with a "
+            "fault-injection plan for chaos testing"
+        ),
+    )
+
+
+def main(argv: Sequence[str] | argparse.Namespace | None = None) -> int:
+    """Run one worker from the command line; returns the exit status.
+
+    ``argv`` is parsed against :func:`add_worker_arguments`; the
+    ``repro worker`` subcommand passes the namespace its own parser
+    made from the same options.  SIGTERM requests a graceful drain.
+    ``--faults`` is exported rather than installed, so the plan arms
+    this process *and* every pool child it spawns (see
+    :mod:`repro.faults.runtime`).
+    """
+    if isinstance(argv, argparse.Namespace):
+        args = argv
+    else:
+        parser = argparse.ArgumentParser(
+            prog="python -m repro.dist",
+            description="Join a coordinator and execute leased work units.",
+        )
+        add_worker_arguments(parser)
+        args = parser.parse_args(argv)
+    if args.faults:
+        os.environ[PLAN_ENV] = args.faults
+        os.environ.setdefault(ROLE_ENV, "worker")
+    draining = False
+
+    def request_drain(signum, frame) -> None:
+        nonlocal draining
+        if not draining:
+            _stderr_log(
+                f"{args.name}: SIGTERM received; draining (starting "
+                "nothing new, releasing held leases, then bye)"
+            )
+        draining = True
+
+    try:
+        signal.signal(signal.SIGTERM, request_drain)
+    except ValueError:  # pragma: no cover - non-main-thread embedding
+        pass
+    try:
+        host, port = _parse_connect(args.connect)
+        run_worker(
+            host,
+            port,
+            name=args.name,
+            jobs=args.jobs if args.jobs is not None else 1,
+            max_units=args.max_units,
+            delay=args.delay,
+            connect_timeout=args.connect_timeout,
+            reconnect_timeout=args.reconnect_timeout,
+            drain_check=lambda: draining,
+            log=_stderr_log,
+        )
+    except ReproError as exc:
+        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
+        return 2
+    return 0

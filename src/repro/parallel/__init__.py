@@ -24,6 +24,7 @@ from .executor import (
     SERIAL,
     ParallelConfig,
     close_shared_pools,
+    jobs_arg,
     parallel_map,
     resolve_config,
     shard_ranges,
@@ -47,6 +48,7 @@ __all__ = [
     "shard_ranges",
     "shared_pool",
     "close_shared_pools",
+    "jobs_arg",
     "WorkUnit",
     "execute_unit",
     "register_executor",

@@ -60,6 +60,24 @@ class ParallelConfig:
 SERIAL = ParallelConfig(jobs=1)
 
 
+def jobs_arg(value: str) -> int:
+    """argparse type for a ``--jobs`` option: a worker count as
+    :class:`ParallelConfig` reads it (``0`` = one per CPU)."""
+    import argparse
+
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {value!r}"
+        ) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            "jobs must be >= 0 (0 = one per CPU)"
+        )
+    return n
+
+
 def resolve_config(parallel: ParallelConfig | None, scale=None) -> ParallelConfig:
     """Effective configuration for a harness call.
 

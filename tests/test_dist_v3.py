@@ -731,6 +731,52 @@ class TestIdleFreeWire:
         assert not thread.is_alive()
         assert isinstance(box.get("error"), _ConnectionLost)
 
+    def test_drain_ends_the_reconnect_backoff(self):
+        # The coordinator reads the hello and vanishes, listener and
+        # all: every reconnect is refused, and without the drain check
+        # the worker would retry until reconnect_timeout.
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        drain = threading.Event()
+        box = {}
+
+        def vanish():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                box["hello"] = recv_message(conn, FrameDecoder())
+            listener.close()
+            box["requested"] = time.monotonic()
+            drain.set()
+
+        coordinator = threading.Thread(target=vanish, daemon=True)
+        coordinator.start()
+        logs = []
+
+        def target():
+            try:
+                box["executed"] = run_worker(
+                    "127.0.0.1",
+                    port,
+                    name="drainer",
+                    reconnect_timeout=20,
+                    drain_check=drain.is_set,
+                    log=logs.append,
+                )
+            except Exception as exc:  # noqa: BLE001 - surfaced by the test
+                box["error"] = exc
+            box["returned"] = time.monotonic()
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout=2)
+        assert not worker.is_alive(), "worker kept reconnecting"
+        assert "error" not in box
+        assert box["hello"]["type"] == "hello"
+        assert box["executed"] == 0
+        assert box["returned"] - box["requested"] < 1.0
+        assert "draining on request while reconnecting" in logs[-1]
+
 
 # ---------------------------------------------------------------------------
 # CLI validation
