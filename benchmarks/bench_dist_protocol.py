@@ -1,12 +1,13 @@
-"""Distributed protocol A/B: sync v2 leasing vs v3 pipelined+adaptive.
+"""Distributed protocol A/B: synchronous leasing vs pipelined+adaptive.
 
-The tentpole claim of the protocol-v3 overhaul is that lease
-pipelining plus adaptive lease sizing takes the coordinator round-trip
-off the worker's critical path: instead of *blocking* on a
-request/lease exchange before every unit (one-unit-per-lease v2, the
-worst case and the old chaos default), a v3 worker prefetches its next
-lease while the current one executes and the coordinator batches units
-toward a target lease duration.
+Lease pipelining plus adaptive lease sizing take the coordinator
+round-trip off the worker's critical path: instead of *blocking* on a
+request/lease exchange before every unit (one unit per lease, nothing
+prefetched: the worst case), a worker prefetches its next lease while
+the current one executes and the coordinator batches units toward a
+target lease duration.  The synchronous side is the same worker with
+every prefetch skipped through the ``worker.prefetch``/``skip`` fault
+site and the coordinator fixed at one unit per lease.
 
 This benchmark measures that directly, without needing a second
 machine or even a second CPU: the coordinator runs in a thread, the
@@ -17,18 +18,18 @@ production code path chaos testing uses).  Both sides execute the
 identical unit grid; the records must match exactly (the byte-identity
 contract).  Recorded per side: wall-clock, blocking lease round trips
 (:class:`~repro.dist.WorkerStats`), and raw-vs-wire bytes
-(:class:`~repro.dist.WireStats`, compression on for the v3 side)::
+(:class:`~repro.dist.WireStats`)::
 
     REPRO_BENCH_JSON=BENCH_throughput.json \
         pytest benchmarks/bench_dist_protocol.py -s
 
-The acceptance floor (ISSUE 9): the pipelined+adaptive run completes
-the grid with at least :data:`_MIN_RT_RATIO` x fewer blocking round
-trips than the sync one-unit-per-lease run.
+The acceptance floor: the pipelined+adaptive run completes the grid
+with at least :data:`_MIN_RT_RATIO` x fewer blocking round trips than
+the synchronous one-unit-per-lease run.
 
 Round-trip counts cannot show a stall that both sides pay per unit,
 so a second record, ``dist_loopback``, runs the same grid over plain
-loopback TCP with no fault plan (protocol v3, adaptive leases) and
+loopback TCP with no fault plan (adaptive leases) and
 compares its wall clock per unit with executing the same units
 in-process.  Its ceiling, :data:`_MAX_LOOPBACK_MS_PER_UNIT`, catches a
 stalled wire: a Nagle/delayed-ACK stall alone costs tens of
@@ -92,28 +93,25 @@ def _grid(n=_UNITS):
     return units
 
 
-def _latency_plan():
-    return FaultPlan(
-        name="bench-wire-latency",
-        seed=1,
-        specs=(
-            FaultSpec(
-                "socket.send", "delay", params={"delay_s": _DELAY_S}
-            ),
-        ),
-    )
+def _latency_plan(skip_prefetch=False):
+    """Delay every frame; with ``skip_prefetch`` also skip every
+    pipelined request, so the worker blocks on each grant."""
+    specs = [
+        FaultSpec("socket.send", "delay", params={"delay_s": _DELAY_S})
+    ]
+    if skip_prefetch:
+        specs.append(FaultSpec("worker.prefetch", "skip"))
+    return FaultPlan(name="bench-wire-latency", seed=1, specs=tuple(specs))
 
 
-def _run_side(units, protocol, units_per_lease, compress):
-    """One full campaign: coordinator thread + in-process worker.
+def _run_side(units, units_per_lease, plan=None):
+    """One full campaign: coordinator thread + in-process worker, with
+    the fault ``plan`` installed for its duration when one is given.
 
     Returns (wall_s, records, worker_stats, coordinator_wire).
     """
     coordinator = Coordinator(
-        units,
-        units_per_lease=units_per_lease,
-        compress=compress,
-        lease_timeout=30.0,
+        units, units_per_lease=units_per_lease, lease_timeout=30.0
     )
     host, port = coordinator.bind()
     box = {}
@@ -121,20 +119,18 @@ def _run_side(units, protocol, units_per_lease, compress):
     def serve():
         box["records"] = coordinator.serve()
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    stats = WorkerStats()
-    start = time.perf_counter()
-    run_worker(
-        host,
-        port,
-        name=f"bench-v{protocol}",
-        protocol=protocol,
-        compress=compress,
-        stats=stats,
-    )
-    wall = time.perf_counter() - start
-    thread.join(timeout=60)
+    if plan is not None:
+        install(plan)
+    try:
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        stats = WorkerStats()
+        start = time.perf_counter()
+        run_worker(host, port, name="bench", stats=stats)
+        wall = time.perf_counter() - start
+        thread.join(timeout=60)
+    finally:
+        uninstall()
     assert "records" in box, "coordinator did not finish"
     return wall, box["records"], stats, coordinator.wire
 
@@ -149,20 +145,15 @@ def _blocking_round_trips(stats):
 
 def test_dist_protocol_ab(bench_json):
     units = _grid()
-    install(_latency_plan())
-    try:
-        # A: protocol v2, one unit per lease, no compression — every
-        # unit pays a blocking request/lease exchange.
-        sync_wall, sync_records, sync_stats, sync_wire = _run_side(
-            units, protocol=2, units_per_lease=1, compress=False
-        )
-        # B: protocol v3 — adaptive lease sizing, pipelined prefetch,
-        # compression negotiated on.
-        pipe_wall, pipe_records, pipe_stats, pipe_wire = _run_side(
-            units, protocol=3, units_per_lease=None, compress=True
-        )
-    finally:
-        uninstall()
+    # A: one unit per lease, every prefetch skipped — every unit pays a
+    # blocking request/lease exchange.
+    sync_wall, sync_records, sync_stats, sync_wire = _run_side(
+        units, units_per_lease=1, plan=_latency_plan(skip_prefetch=True)
+    )
+    # B: adaptive lease sizing and pipelined prefetch, as shipped.
+    pipe_wall, pipe_records, pipe_stats, pipe_wire = _run_side(
+        units, units_per_lease=None, plan=_latency_plan()
+    )
 
     # Byte-identity first: the optimisation must change nothing.
     assert [r.key for r in sync_records] == [r.key for r in pipe_records]
@@ -194,10 +185,10 @@ def test_dist_protocol_ab(bench_json):
     bench_json["dist_protocol_ab"] = {
         "units": len(units),
         "injected_delay_ms_per_frame": _DELAY_S * 1000.0,
-        "sync_v2_one_unit_leases": side(
+        "sync_one_unit_leases": side(
             sync_wall, sync_stats, sync_wire, sync_rt
         ),
-        "pipelined_v3_adaptive": side(
+        "pipelined_adaptive": side(
             pipe_wall, pipe_stats, pipe_wire, pipe_rt
         ),
         "blocking_round_trip_ratio": round(ratio, 1),
@@ -210,7 +201,7 @@ def test_dist_protocol_ab(bench_json):
         f"{_MIN_RT_RATIO:.0f}x floor"
     )
     # Compression must never inflate the wire.
-    pipe_total = bench_json["dist_protocol_ab"]["pipelined_v3_adaptive"]
+    pipe_total = bench_json["dist_protocol_ab"]["pipelined_adaptive"]
     assert (
         pipe_total["coordinator_wire_bytes"]
         <= pipe_total["coordinator_raw_bytes"]
@@ -219,8 +210,8 @@ def test_dist_protocol_ab(bench_json):
     print(
         f"\ndist protocol A/B ({len(units)} units, "
         f"{_DELAY_S * 1000:.0f}ms/frame injected): "
-        f"sync v2 {sync_rt} blocking round trips / {sync_wall:.2f}s, "
-        f"pipelined v3 {pipe_rt} / {pipe_wall:.2f}s "
+        f"sync {sync_rt} blocking round trips / {sync_wall:.2f}s, "
+        f"pipelined {pipe_rt} / {pipe_wall:.2f}s "
         f"({ratio:.1f}x fewer, {pipe_stats.prefetched_grants} "
         f"prefetched lease(s), "
         f"{pipe_wire.compressed_out + pipe_wire.compressed_in} "
@@ -236,9 +227,7 @@ def test_dist_loopback(bench_json):
     started = time.perf_counter()
     run_units(units)
     execute_s = time.perf_counter() - started
-    wall, records, stats, wire = _run_side(
-        units, protocol=3, units_per_lease=None, compress=True
-    )
+    wall, records, stats, wire = _run_side(units, units_per_lease=None)
     assert [r.to_json() for r in records] == [
         r.to_json() for r in reference
     ]

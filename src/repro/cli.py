@@ -520,8 +520,8 @@ def _epilog() -> str:
             "  Leases are sized adaptively (per-worker service-time",
             "  EWMA, targeting --lease-target-seconds of compute each);",
             "  --units-per-lease N pins a fixed batch size instead.",
-            "  Workers pipeline lease requests and frames compress",
-            "  automatically (both negotiated; v2 workers still work).",
+            "  Workers pipeline lease requests and large frames are",
+            "  compressed, always: there is one wire protocol.",
             "",
             "persistent run ledger:",
             "  pass --out DIR to checkpoint completed results into an",

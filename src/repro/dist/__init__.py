@@ -4,9 +4,9 @@ The distributed layer moves :class:`~repro.parallel.plan.WorkUnit`
 plans across machines without moving any correctness responsibility:
 results are keyed and seeded identically wherever they run, so the
 coordinator's content-key merge is provably byte-identical to a
-single-machine run.  Protocol v3 adds lease pipelining, adaptive lease
-sizing, incremental result streaming and frame compression — all
-negotiated per connection, with v2 peers served unchanged.
+single-machine run.  Every connection speaks the one wire protocol,
+v3: lease pipelining, adaptive lease sizing, incremental result
+streaming and frame compression are always on.
 ``python -m repro.dist`` runs one worker (:func:`repro.dist.worker.main`,
 also the ``repro worker`` subcommand).  See ``docs/ARCHITECTURE.md``
 ("Distributed campaigns") for the frame format, the lease lifecycle,
@@ -30,7 +30,6 @@ from .protocol import (
     COMPRESS_FLAG,
     COMPRESS_MIN,
     MAX_FRAME,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
@@ -58,7 +57,6 @@ __all__ = [
     "MAX_ATTEMPTS",
     "MAX_FRAME",
     "MAX_LEASE_UNITS",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "Settlement",
     "WAIT_RETRY_MAX_S",

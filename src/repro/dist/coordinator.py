@@ -16,11 +16,15 @@ it and :meth:`Coordinator.serve` raises
 and every healthy record, so one poison unit can neither crash-loop
 the fleet nor silently punch a hole in the merge.
 
-Protocol v3 peers negotiate pipelining, frame compression, incremental
-``result-part`` streaming and adaptive lease sizing in the handshake;
-v2 peers are served exactly as before (one blocking lease at a time,
-raw frames, one result at lease end).  The two generations can share a
-campaign: the merge only ever sees keyed records.
+Every worker speaks protocol v3, the only one served: a ``hello`` with
+any other version is refused.  Records stream in as ``result-part``
+frames, pipelined workers hand unstarted leases back with ``release``,
+and each ``result``'s ``elapsed_s`` feeds adaptive lease sizing.  A
+frame that is well formed but carries a malformed field (a non-integer
+lease id, a ``records`` or ``failed`` entry of the wrong shape) is a
+:class:`~repro.errors.ProtocolError` that costs only its sender's
+connection: it gets an ``error`` frame and is dropped, and its leases
+re-pend.
 
 The merge is by content key and idempotent: a reassigned lease coming
 back twice folds to one record when payloads agree and raises
@@ -59,12 +63,12 @@ from ..parallel.plan import WorkUnit
 from ..store.records import RunRecord
 from .leases import DEFAULT_TARGET_LEASE_S, MAX_ATTEMPTS, LeaseTable
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
     nodelay,
     send_message,
+    speaks_protocol,
 )
 
 #: Idle-worker retry when no lease deadline bounds the wait (cannot
@@ -82,8 +86,7 @@ _POLL_CAP_S = 1.0
 
 
 class _Client:
-    """Per-connection state: decoder buffer plus the worker identity
-    and what the handshake negotiated for this connection."""
+    """Per-connection state: decoder buffer plus the worker identity."""
 
     def __init__(
         self,
@@ -97,11 +100,6 @@ class _Client:
         #: ``--name``; leases must not).
         self.ident = ident
         self.helloed = False
-        #: Negotiated protocol version (set at ``hello``; v3 gates
-        #: ``result-part``/``release`` handling).
-        self.protocol = MIN_PROTOCOL_VERSION
-        #: Whether frames *to* this worker may be compressed.
-        self.compress = False
         #: Units this connection has completed (progress UI).
         self.units_done = 0
 
@@ -113,10 +111,9 @@ class Coordinator:
     silent worker holds its units, ``units_per_lease`` fixes the batch
     size (None, the default, enables the adaptive controller targeting
     ``lease_target_s`` of compute per lease), ``max_attempts`` is the
-    per-unit failure budget before quarantine, ``compress`` offers
-    frame compression to v3 workers.  ``on_record(index, record)``
-    streams each *fresh* merged record back in completion order — the
-    same checkpointing hook the local pool backend uses, so
+    per-unit failure budget before quarantine.  ``on_record(index,
+    record)`` streams each *fresh* merged record back in completion
+    order — the same checkpointing hook the local pool backend uses, so
     :func:`~repro.store.resume.submit_units` works unchanged on top.
 
     ``stop_check`` (also assignable after construction) is polled every
@@ -134,7 +131,6 @@ class Coordinator:
         units_per_lease: int | None = None,
         max_attempts: int = MAX_ATTEMPTS,
         lease_target_s: float = DEFAULT_TARGET_LEASE_S,
-        compress: bool = True,
         on_record: Callable[[int, RunRecord], None] | None = None,
         stop_check: Callable[[], str | None] | None = None,
         log: Callable[[str], None] | None = None,
@@ -146,7 +142,6 @@ class Coordinator:
         self.units_per_lease = units_per_lease
         self.max_attempts = max_attempts
         self.lease_target_s = lease_target_s
-        self.compress = compress
         self.on_record = on_record
         self.stop_check = stop_check
         self.log = log or (lambda message: None)
@@ -294,12 +289,7 @@ class Coordinator:
         return min(_POLL_CAP_S, max(0.0, deadline - self._table.now()))
 
     def _send(self, client: _Client, message: dict) -> None:
-        send_message(
-            client.sock,
-            message,
-            compress=client.compress,
-            stats=self.wire,
-        )
+        send_message(client.sock, message, stats=self.wire)
 
     def _accept(
         self,
@@ -361,19 +351,19 @@ class Coordinator:
             self._drop(client, selector, clients)
             return
         try:
-            messages = client.decoder.feed(data)
+            for message in client.decoder.feed(data):
+                self._handle(client, message, selector, clients)
+                if client.sock not in clients or self._restart_requested:
+                    break  # connection dropped (or restarting) mid-batch
         except ProtocolError as exc:
+            # Undecodable bytes or a malformed field: this connection is
+            # unusable, the campaign is not.
             self.log(f"protocol error from {client.ident}: {exc}")
             try:
                 self._send(client, {"type": "error", "message": str(exc)})
             except OSError:
                 pass
             self._drop(client, selector, clients)
-            return
-        for message in messages:
-            self._handle(client, message, selector, clients)
-            if client.sock not in clients or self._restart_requested:
-                break  # connection dropped (or restarting) mid-batch
 
     def _handle(
         self,
@@ -384,51 +374,25 @@ class Coordinator:
     ) -> None:
         kind = message["type"]
         if kind == "hello":
-            requested = message.get("protocol")
-            if requested not in range(
-                MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1
-            ):
-                self._send(
-                    client,
-                    {
-                        "type": "error",
-                        "message": (
-                            f"protocol {requested!r} not in coordinator "
-                            f"range {MIN_PROTOCOL_VERSION}.."
-                            f"{PROTOCOL_VERSION}"
-                        ),
-                    },
+            if not speaks_protocol(message):
+                raise ProtocolError(
+                    f"protocol {message.get('protocol')!r} refused; this "
+                    f"coordinator speaks only v{PROTOCOL_VERSION}"
                 )
-                self._drop(client, selector, clients)
-                return
             name = message.get("worker") or "worker"
             client.ident = f"{name}#{client.ident}"
             client.helloed = True
-            client.protocol = min(PROTOCOL_VERSION, requested)
-            client.compress = (
-                self.compress
-                and client.protocol >= 3
-                and bool(message.get("compress"))
-            )
             self._send(
                 client,
                 {
                     "type": "welcome",
-                    "protocol": client.protocol,
-                    "compress": client.compress,
+                    "protocol": PROTOCOL_VERSION,
                     "units_total": len(self.units),
                 },
             )
-            self.log(
-                f"{client.ident}: protocol v{client.protocol}, "
-                f"compression {'on' if client.compress else 'off'}"
-            )
+            self.log(f"{client.ident}: protocol v{PROTOCOL_VERSION}")
         elif not client.helloed:
-            self._send(
-                client,
-                {"type": "error", "message": "first message must be hello"},
-            )
-            self._drop(client, selector, clients)
+            raise ProtocolError("first message must be hello")
         elif kind == "request":
             lease = self._table.grant(client.ident)
             if lease is not None:
@@ -462,7 +426,7 @@ class Coordinator:
                     {"type": "wait", "retry_s": self._wait_retry_s()},
                 )
         elif kind == "heartbeat":
-            lease_id = message.get("lease", -1)
+            lease_id = _lease_id(message)
             held = self._table.heartbeat(lease_id)
             if not held:
                 self.log(
@@ -473,20 +437,16 @@ class Coordinator:
                 client,
                 {"type": "beat", "lease": lease_id, "held": held},
             )
-        elif kind == "result-part" and client.protocol >= 3:
+        elif kind == "result-part":
             self._merge_part(client, message)
         elif kind == "result":
             self._merge_result(client, message)
-        elif kind == "release" and client.protocol >= 3:
+        elif kind == "release":
             self._release_lease(client, message)
         elif kind == "bye":
             self._drop(client, selector, clients)
         else:
-            self._send(
-                client,
-                {"type": "error", "message": f"unknown message {kind!r}"},
-            )
-            self._drop(client, selector, clients)
+            raise ProtocolError(f"unknown message {kind!r}")
 
     def _wait_retry_s(self) -> float:
         """Adaptive idle-worker retry: sleep until the soonest active
@@ -500,10 +460,15 @@ class Coordinator:
 
     def _merge_records(self, client: _Client, message: dict) -> set[int]:
         """Fold a frame's records into the merge; returns the unit
-        indices the frame covered (fresh or duplicate)."""
-        records = [
-            RunRecord.from_json(obj) for obj in message.get("records", [])
-        ]
+        indices the frame covered (fresh or duplicate).  Every record
+        parses before any merges."""
+        try:
+            records = [
+                RunRecord.from_json(obj)
+                for obj in _list_field(message, "records")
+            ]
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
         covered: set[int] = set()
         for record in records:
             index = self._key_to_index.get(record.key)
@@ -540,7 +505,7 @@ class Coordinator:
         lease stays active (its heartbeats carry liveness); a part for
         a lease this coordinator no longer holds merges idempotently
         and is otherwise ignored."""
-        lease_id = message.get("lease", -1)
+        lease_id = _lease_id(message)
         covered = self._merge_records(client, message)
         if lease_id in self._table.active:
             self._partial.setdefault(lease_id, set()).update(covered)
@@ -550,7 +515,7 @@ class Coordinator:
         """A pipelined worker handing back an unstarted prefetched
         lease (drain/bye): every unit re-pends immediately and for free
         — voluntary return is not a failure."""
-        lease_id = message.get("lease", -1)
+        lease_id = _lease_id(message)
         settlement = self._table.settle(lease_id)
         self._partial.pop(lease_id, None)
         if settlement is not None and settlement.abandoned:
@@ -561,29 +526,26 @@ class Coordinator:
             )
 
     def _merge_result(self, client: _Client, message: dict) -> None:
-        lease_id = message.get("lease", -1)
-        completed = self._merge_records(client, message)
-        completed |= self._partial.pop(lease_id, set())
+        lease_id = _lease_id(message)
         failed: dict[int, str] = {}
-        for entry in message.get("failed", []):
-            index = self._key_to_index.get(entry.get("key"))
+        for entry in _list_field(message, "failed"):
+            key = entry.get("key") if isinstance(entry, dict) else None
+            if not isinstance(key, str):
+                raise ProtocolError(f"malformed failure report: {entry!r}")
+            index = self._key_to_index.get(key)
             if index is None:
                 raise DistError(
                     f"worker {client.ident} reported failure for unknown "
-                    f"content key {entry.get('key')!r}; plan/worker "
-                    "mismatch"
+                    f"content key {key!r}; plan/worker mismatch"
                 )
             failed[index] = str(entry.get("error") or "unspecified failure")
-        lease = self._table.active.get(lease_id)
+        completed = self._merge_records(client, message)
+        completed |= self._partial.pop(lease_id, set())
         processed = len(completed) + len(failed)
-        if lease is not None and processed:
-            elapsed = message.get("elapsed_s")
-            if elapsed is None:
-                # v2 worker: time the lease from the coordinator side
-                # (includes grant latency — a pessimistic but safe
-                # estimate).
-                elapsed = self._table.now() - lease.granted_at
-            self._table.observe(client.ident, processed, elapsed)
+        if lease_id in self._table.active and processed:
+            self._table.observe(
+                client.ident, processed, message.get("elapsed_s")
+            )
         settlement = self._table.settle(
             lease_id, completed=completed, failed=failed
         )
@@ -663,3 +625,26 @@ class Coordinator:
                 f"(first missing key: {missing[0]!r})"
             )
         return [self._records[i] for i in range(len(self.units))]
+
+
+def _lease_id(message: dict) -> int:
+    """A frame's ``lease`` field, which must be an ``int`` (not a
+    ``bool``, which JSON would otherwise let pass as 0 or 1)."""
+    lease_id = message.get("lease")
+    if type(lease_id) is not int:
+        raise ProtocolError(
+            f"{message['type']} frame carries lease {lease_id!r}, not an "
+            "integer id"
+        )
+    return lease_id
+
+
+def _list_field(message: dict, name: str) -> list:
+    """A frame's optional list field (absent reads as empty)."""
+    value = message.get(name, [])
+    if not isinstance(value, list):
+        raise ProtocolError(
+            f"{message['type']} frame field {name!r} is a "
+            f"{type(value).__name__}, not a list"
+        )
+    return value

@@ -76,9 +76,8 @@ class Lease:
     worker: str
     indices: tuple[int, ...]
     deadline: float
-    #: When the grant was made (the table's injected clock) — the
-    #: coordinator-side fallback for timing v2 workers that do not
-    #: report ``elapsed_s``.
+    #: When the grant was made (the table's injected clock); the
+    #: ``lease`` frame's ``deadline_s`` counts from it.
     granted_at: float = 0.0
 
 
@@ -157,8 +156,8 @@ class LeaseTable:
     def observe(self, worker: str, n_units: int, elapsed_s: float) -> None:
         """Feed one lease's timing into the worker's service-time EWMA.
 
-        ``elapsed_s`` may arrive over the network (a v3 worker reports
-        its own execution time); junk — non-finite, negative, or a
+        ``elapsed_s`` may arrive over the network (a worker reports its
+        own execution time); junk — non-finite, negative, or a
         zero-unit report — is ignored rather than poisoning the
         estimate.
         """

@@ -7,20 +7,20 @@ on the wire.  Payloads are UTF-8 JSON encoding one message object.
 Messages are plain dicts with a ``type`` field:
 
 worker -> coordinator
-    ``hello``       {type, worker, protocol, compress}
+    ``hello``       {type, worker, protocol}
     ``request``     {type}                      ask for a lease
     ``heartbeat``   {type, lease}               extend a lease deadline
-    ``result-part`` {type, lease,               v3: incremental records
+    ``result-part`` {type, lease,               incremental records
                      records: [RunRecord JSON]}    streamed mid-lease
     ``result``      {type, lease, records: [RunRecord JSON, ...],
                      failed: [{key, error}, ...], elapsed_s}
-    ``release``     {type, lease}               v3: hand back an
-                                                unstarted prefetched
-                                                lease (drain/bye)
+    ``release``     {type, lease}               hand back an unstarted
+                                                prefetched lease
+                                                (drain/bye)
     ``bye``         {type}                      leaving voluntarily
 
 coordinator -> worker
-    ``welcome``    {type, protocol, compress, units_total}
+    ``welcome``    {type, protocol, units_total}
     ``lease``      {type, lease, deadline_s, units: [WorkUnit JSON, ...]}
     ``beat``       {type, lease, held}          heartbeat reply;
                                                 held=False means the
@@ -32,23 +32,25 @@ coordinator -> worker
     ``done``       {type}                       campaign complete
     ``error``      {type, message}              fatal, close connection
 
-Negotiation happens once, in ``hello``/``welcome``: each side states
-its protocol and whether it accepts compressed frames; the coordinator
-replies with the minimum version and the settled compression choice.
-A v2 peer never sees a flagged frame, a ``result-part`` or a
-``release`` — v3 features are gated on the negotiated version, so old
-workers keep serving new coordinators (and vice versa) byte-identically.
+There is one protocol version, :data:`PROTOCOL_VERSION`, and no
+negotiation: ``hello`` and ``welcome`` each carry it, a coordinator
+answers any other ``protocol`` value (or none) with ``error`` and
+drops the connection, and a worker refuses any other ``welcome``.
+Every sender deflates frames of at least :data:`COMPRESS_MIN` bytes
+whenever that shrinks them, and every decoder accepts raw and
+compressed frames alike.
 
 All correctness still lives in content keys — a frame can be lost,
 duplicated or replayed and the merge stays exact.
 
 Version history: v1 had fire-and-forget heartbeats and no ``failed``
-list; v2 acknowledges every heartbeat with ``beat`` and reports
-per-unit failures; v3 (current) adds handshake negotiation, zlib frame
-compression above :data:`COMPRESS_MIN`, incremental ``result-part``
-streaming, pipelined lease prefetch with explicit ``release``, and a
-worker-reported ``elapsed_s`` feeding the coordinator's adaptive lease
-sizing.
+list; v2 acknowledged every heartbeat with ``beat`` and reported
+per-unit failures; v3 (current) added zlib frame compression above
+:data:`COMPRESS_MIN`, incremental ``result-part`` streaming, pipelined
+lease prefetch with explicit ``release``, and a worker-reported
+``elapsed_s`` feeding the coordinator's adaptive lease sizing.  Only
+v3 is served: support for v2 peers, and the handshake negotiation
+that kept them working, was removed.
 
 The framing primitives are fault-injection sites (see
 :mod:`repro.faults`): ``socket.send`` can drop a frame, send a partial
@@ -73,11 +75,9 @@ from dataclasses import dataclass
 from ..errors import ProtocolError
 from ..faults.runtime import fault_at
 
-#: Bump on any incompatible message change.
+#: The one version both ends speak; bump on any incompatible message
+#: change.
 PROTOCOL_VERSION = 3
-
-#: Oldest protocol this code still serves (negotiated in ``hello``).
-MIN_PROTOCOL_VERSION = 2
 
 #: Hard per-frame ceiling — applied to the wire length *and* to the
 #: post-inflate size, so a compression bomb cannot expand past it.
@@ -144,6 +144,14 @@ class WireStats:
         )
 
 
+def speaks_protocol(message: dict) -> bool:
+    """Whether a ``hello`` or ``welcome`` carries exactly
+    :data:`PROTOCOL_VERSION`.  The check is by type as well as value:
+    ``True`` and ``3.0`` compare equal to an int but are not one."""
+    version = message.get("protocol")
+    return type(version) is int and version == PROTOCOL_VERSION
+
+
 def nodelay(sock: socket.socket) -> socket.socket:
     """Turn off Nagle's algorithm on a dist TCP socket; returns it.
 
@@ -159,14 +167,12 @@ def nodelay(sock: socket.socket) -> socket.socket:
     return sock
 
 
-def encode_frame(message: dict, compress: bool = False) -> bytes:
+def encode_frame(message: dict) -> bytes:
     """One message as bytes ready for ``sendall``.
 
-    With ``compress``, payloads of at least :data:`COMPRESS_MIN` bytes
-    are deflated and the header's :data:`COMPRESS_FLAG` set — but only
-    when that actually shrinks the frame (incompressible payloads ship
-    raw).  Callers must only set ``compress`` after the handshake
-    negotiated it: a v2 decoder treats a flagged header as garbage.
+    Payloads of at least :data:`COMPRESS_MIN` bytes are deflated and
+    the header's :data:`COMPRESS_FLAG` set — but only when that
+    actually shrinks the frame (incompressible payloads ship raw).
     """
     payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME:
@@ -174,7 +180,7 @@ def encode_frame(message: dict, compress: bool = False) -> bytes:
             f"frame of {len(payload)} bytes exceeds MAX_FRAME "
             f"({MAX_FRAME})"
         )
-    if compress and len(payload) >= COMPRESS_MIN:
+    if len(payload) >= COMPRESS_MIN:
         deflated = zlib.compress(payload, 6)
         if len(deflated) < len(payload):
             return _HEADER.pack(len(deflated) | COMPRESS_FLAG) + deflated
@@ -184,7 +190,6 @@ def encode_frame(message: dict, compress: bool = False) -> bytes:
 def send_message(
     sock: socket.socket,
     message: dict,
-    compress: bool = False,
     stats: WireStats | None = None,
 ) -> None:
     """Send one framed message (blocking).
@@ -200,7 +205,7 @@ def send_message(
     the frame with a typed ProtocolError (worker side reconnects;
     coordinator side fences the connection off).
     """
-    frame = encode_frame(message, compress=compress)
+    frame = encode_frame(message)
     (header,) = _HEADER.unpack_from(frame)
     compressed = bool(header & COMPRESS_FLAG)
     if compressed:
@@ -287,9 +292,7 @@ class FrameDecoder:
     Feed raw bytes as they arrive; complete messages come back in
     order.  Tolerates frames split across arbitrarily many reads and
     multiple frames per read.  Compressed frames (header flag) inflate
-    transparently — the decoder always accepts them regardless of the
-    negotiated version, since decoding capability is what ``hello``
-    advertises.
+    transparently.
     """
 
     def __init__(self, stats: WireStats | None = None) -> None:

@@ -99,8 +99,6 @@ class DistributedSubmit:
     #: Compute duration one adaptive lease targets (ignored when
     #: ``units_per_lease`` is fixed).
     lease_target_s: float = DEFAULT_TARGET_LEASE_S
-    #: Offer zlib frame compression to v3 workers.
-    compress: bool = True
     worker_jobs: int = 1
     #: Per-unit failure budget before quarantine (see
     #: :class:`~repro.dist.leases.LeaseTable`).
@@ -128,7 +126,6 @@ class DistributedSubmit:
             units_per_lease=self.units_per_lease,
             max_attempts=self.max_attempts,
             lease_target_s=self.lease_target_s,
-            compress=self.compress,
             on_record=on_record,
             log=self.log,
         )

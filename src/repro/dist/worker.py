@@ -3,18 +3,15 @@
 ``run_worker`` connects to a coordinator, executes whatever work units
 it is leased (through the same executor registry the local pool uses,
 so any machine with the library importable can serve any unit kind),
-and streams the records back.  Against a v3 coordinator the loop is
-*pipelined*: as soon as a lease's units begin executing the worker
-requests the next lease, so the grant's network latency overlaps
-compute instead of serialising with it — one prefetched lease at most,
-heartbeats covering both held leases, and an explicit ``release``
-handing an unstarted prefetch back on drain.  Each completed unit
-ships immediately as a ``result-part`` frame (cutting peak frame size
-and tail latency); the final ``result`` frame carries only failures
-and the lease's ``elapsed_s``, which feeds the coordinator's adaptive
-lease sizing.  Against a v2 coordinator every one of these features
-gates off and the worker behaves exactly as before: one blocking lease
-at a time, one result frame at lease end, raw frames.
+and streams the records back.  The loop is *pipelined*: as soon as a
+lease's units begin executing the worker requests the next lease, so
+the grant's network latency overlaps compute instead of serialising
+with it — one prefetched lease at most, heartbeats covering both held
+leases, and an explicit ``release`` handing an unstarted prefetch back
+on drain.  Each completed unit ships immediately as a ``result-part``
+frame (cutting peak frame size and tail latency); the final ``result``
+frame carries the failures and the lease's ``elapsed_s``, which feeds
+the coordinator's adaptive lease sizing.
 
 One heartbeat round-trip happens per completed unit: the coordinator
 acknowledges with ``beat`` and ``held=False`` means the lease expired
@@ -34,8 +31,7 @@ Failure handling is explicit at every layer:
   jitter, re-hello, and resumed leasing; results that were in flight
   when the connection died are resent after the handshake and merge
   idempotently.  ``reconnect_timeout`` bounds the total outage ridden
-  out (0 disables reconnection: any loss is immediately fatal, the
-  pre-v2 behaviour);
+  out (0 disables reconnection: any loss is immediately fatal);
 * ``drain_check`` (wired to SIGTERM by :func:`main`) requests a
   graceful exit: the worker stops starting units, reports what it
   finished, releases its prefetched lease and leaves the rest of the
@@ -64,19 +60,24 @@ import sys
 import time
 from typing import Callable, Sequence
 
-from ..errors import ProtocolError, ReproError, WorkerExitError
+from ..errors import (
+    ProtocolError,
+    ReproError,
+    ResultHookError,
+    WorkerExitError,
+)
 from ..faults.runtime import PLAN_ENV, ROLE_ENV, fault_at
 from ..parallel.executor import SERIAL, ParallelConfig, jobs_arg
 from ..parallel.plan import WorkUnit, execute_unit, run_units
 from ..rng import derive_seed
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
     nodelay,
     recv_message,
     send_message,
+    speaks_protocol,
 )
 
 #: Blocking-socket timeout; also the hang detector for a coordinator
@@ -217,9 +218,6 @@ def run_worker(
     reconnect_timeout: float = RECONNECT_TIMEOUT_S,
     drain_check: Callable[[], bool] | None = None,
     log: Callable[[str], None] | None = None,
-    protocol: int = PROTOCOL_VERSION,
-    pipeline: bool = True,
-    compress: bool = True,
     stats: WorkerStats | None = None,
 ) -> int:
     """Serve one coordinator until it says ``done``; returns the number
@@ -239,10 +237,6 @@ def run_worker(
     * ``drain_check`` — polled between units and during reconnect
       backoff; True requests a graceful drain (finish nothing new,
       release the leases, say ``bye``; in backoff, just return);
-    * ``protocol`` — highest protocol version to offer in ``hello``
-      (lowering it to 2 reproduces the synchronous v2 worker exactly);
-    * ``pipeline`` / ``compress`` — opt out of lease prefetching or
-      frame compression even when v3 is negotiated;
     * ``stats`` — a :class:`WorkerStats` to fill with grant/wire
       counters (benchmarks and tests).
 
@@ -296,9 +290,6 @@ def run_worker(
                     drain_check=drain_check,
                     connected=connected,
                     log=log,
-                    protocol=protocol,
-                    pipeline=pipeline,
-                    compress=compress,
                     stats=stats,
                 )
                 return session.run()
@@ -337,8 +328,7 @@ class _Session:
     """One connection's lifetime: handshake, resend, pipelined lease
     loop.
 
-    The session owns the three pieces of v3 state the synchronous loop
-    never needed:
+    The session owns the pipelining state:
 
     * ``prefetch`` — a granted-but-unstarted ``lease`` message,
       buffered while the current lease executes (at most one);
@@ -365,9 +355,6 @@ class _Session:
         drain_check: Callable[[], bool] | None = None,
         connected: Callable[[], None] | None = None,
         log: Callable[[str], None] | None = None,
-        protocol: int = PROTOCOL_VERSION,
-        pipeline: bool = True,
-        compress: bool = True,
         stats: WorkerStats | None = None,
     ) -> None:
         self.sock = sock
@@ -379,29 +366,15 @@ class _Session:
         self.drain_check = drain_check
         self.connected = connected or (lambda: None)
         self.log = log or (lambda message: None)
-        self.protocol = protocol
-        self.pipeline = pipeline
-        self.compress_wanted = compress
         self.stats = stats if stats is not None else WorkerStats()
         self.decoder = FrameDecoder(stats=self.stats.wire)
-        self.negotiated = MIN_PROTOCOL_VERSION
-        self.send_compress = False
         self.prefetch: dict | None = None
         self.prefetch_pending = False
         self.done_seen = False
 
     # -- wire helpers ---------------------------------------------------
-    @property
-    def v3(self) -> bool:
-        return self.negotiated >= 3
-
     def _send(self, message: dict) -> None:
-        send_message(
-            self.sock,
-            message,
-            compress=self.send_compress,
-            stats=self.stats.wire,
-        )
+        send_message(self.sock, message, stats=self.stats.wire)
 
     def _recv(self) -> dict:
         reply = recv_message(self.sock, self.decoder)
@@ -429,12 +402,7 @@ class _Session:
 
     def _handshake(self) -> None:
         self._send(
-            {
-                "type": "hello",
-                "worker": self.name,
-                "protocol": self.protocol,
-                "compress": bool(self.compress_wanted),
-            }
+            {"type": "hello", "worker": self.name, "protocol": PROTOCOL_VERSION}
         )
         welcome = recv_message(self.sock, self.decoder)
         if welcome is None:
@@ -450,28 +418,15 @@ class _Session:
             raise ProtocolError(
                 f"expected welcome, got {welcome['type']!r}"
             )
-        negotiated = welcome.get("protocol", MIN_PROTOCOL_VERSION)
-        if (
-            not isinstance(negotiated, int)
-            or isinstance(negotiated, bool)
-            or not MIN_PROTOCOL_VERSION <= negotiated <= self.protocol
-        ):
+        if not speaks_protocol(welcome):
             raise ProtocolError(
-                f"coordinator negotiated unusable protocol "
-                f"{negotiated!r} (offered {self.protocol})"
+                f"coordinator speaks protocol {welcome.get('protocol')!r}, "
+                f"not {PROTOCOL_VERSION}"
             )
-        self.negotiated = negotiated
-        self.send_compress = (
-            self.v3
-            and bool(self.compress_wanted)
-            and bool(welcome.get("compress"))
-        )
         self.connected()
         self.log(
-            f"{self.name}: connected to coordinator (protocol "
-            f"v{self.negotiated}, compression "
-            f"{'on' if self.send_compress else 'off'}, "
-            f"{welcome.get('units_total')} units in plan)"
+            f"{self.name}: connected to coordinator "
+            f"({welcome.get('units_total')} units in plan)"
         )
 
     def _resend_stash(self) -> None:
@@ -531,7 +486,7 @@ class _Session:
             elif reply["type"] == "done":
                 self.done_seen = True
         if self.prefetch is not None:
-            if self.v3 and not self.done_seen:
+            if not self.done_seen:
                 self._send(
                     {"type": "release", "lease": self.prefetch["lease"]}
                 )
@@ -601,13 +556,11 @@ class _Session:
 
     def _maybe_prefetch(self, lease_id: int) -> None:
         """Pipeline the next request behind the current lease's
-        execution (v3 only; at most one outstanding).
+        execution (at most one outstanding).
 
         Fault site ``worker.prefetch``: ``skip`` falls back to the
         blocking request path for this lease, ``delay`` stalls the
         request send."""
-        if not (self.pipeline and self.v3):
-            return
         if self.prefetch is not None or self.prefetch_pending:
             return
         event = fault_at("worker.prefetch", token=lease_id)
@@ -624,10 +577,9 @@ class _Session:
         self.prefetch_pending = True
 
     # -- heartbeats -----------------------------------------------------
-    def _heartbeat(self, lease_id: int) -> bool:
-        """One heartbeat round-trip; False means this lease is gone (or
-        the campaign finished) and in-flight work for it must be
-        discarded.
+    def _send_heartbeat(self, lease_id: int) -> bool:
+        """Send one heartbeat; False when it was lost on the floor and
+        no ack will come.
 
         Fault site ``worker.heartbeat`` (kind ``drop``) loses the beat
         entirely — the worker believes the lease is alive while the
@@ -640,8 +592,16 @@ class _Session:
                 f"{self.name}: heartbeat for lease {lease_id} dropped "
                 "(injected)"
             )
-            return True
+            return False
         self._send({"type": "heartbeat", "lease": lease_id})
+        return True
+
+    def _heartbeat(self, lease_id: int) -> bool:
+        """One heartbeat round-trip; False means this lease is gone (or
+        the campaign finished) and in-flight work for it must be
+        discarded.  A dropped beat reads as held."""
+        if not self._send_heartbeat(lease_id):
+            return True
         return self._await_beat(lease_id)
 
     def _await_beat(self, lease_id: int) -> bool:
@@ -699,66 +659,44 @@ class _Session:
         return True
 
     # -- lease execution ------------------------------------------------
+    def _stream(self, lease_id: int, record) -> None:
+        """Ship one completed unit's record as a ``result-part``."""
+        self._send(
+            {
+                "type": "result-part",
+                "lease": lease_id,
+                "records": [record.to_json()],
+            }
+        )
+        self.stats.parts_sent += 1
+
     def _serve_lease(self, message: dict) -> int:
+        """Execute one lease; returns how many of its units produced a
+        record.  A lease lost mid-way sends no ``result`` and counts
+        only the records already streamed, which merged; the rest
+        belongs to the lease's new holder."""
         lease_id = message["lease"]
         units = [WorkUnit.from_json(obj) for obj in message["units"]]
         started = time.monotonic()
         self._maybe_prefetch(lease_id)
         if self.delay > 0:
             time.sleep(self.delay)
-        records: list = []
-        failed: list[dict] = []
-        streamed = 0
+        parts_before = self.stats.parts_sent
         if not self.config.serial and len(units) > 1:
-            pooled = self._execute_pooled(lease_id, units)
-            if pooled is None:
-                return 0  # lease lost mid-map; work discarded
-            records, failed, streamed = pooled
+            outcome = self._execute_pooled(lease_id, units)
         else:
-            for position, unit in enumerate(units):
-                if self.drain_check is not None and self.drain_check():
-                    self.log(
-                        f"{self.name}: draining; releasing "
-                        f"{len(units) - position} unexecuted unit(s) of "
-                        f"lease {lease_id}"
-                    )
-                    break
-                record = None
-                try:
-                    record = execute_unit(unit)
-                except Exception as exc:
-                    failed.append(
-                        {
-                            "key": unit.key,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                    self.log(f"{self.name}: unit {unit.key!r} failed: {exc}")
-                if record is not None:
-                    if self.v3:
-                        self._send(
-                            {
-                                "type": "result-part",
-                                "lease": lease_id,
-                                "records": [record.to_json()],
-                            }
-                        )
-                        self.stats.parts_sent += 1
-                        streamed += 1
-                    else:
-                        records.append(record)
-                if not self._beat_both(lease_id):
-                    if self.done_seen:
-                        # Campaign complete: everything this lease
-                        # streamed already merged; the rest completed
-                        # elsewhere.
-                        return streamed
-                    self.log(
-                        f"{self.name}: lease {lease_id} no longer held; "
-                        f"discarding {len(records)} in-flight record(s) "
-                        f"and {len(failed)} failure report(s)"
-                    )
-                    return streamed
+            outcome = self._execute_serial(lease_id, units)
+        streamed = self.stats.parts_sent - parts_before
+        if outcome is None:
+            if not self.done_seen:
+                # Campaign not over: the lease expired and was
+                # reassigned, so its failure reports are stale.
+                self.log(
+                    f"{self.name}: lease {lease_id} no longer held; "
+                    "discarding its in-flight work"
+                )
+            return streamed
+        records, failed = outcome
         result = {
             "type": "result",
             "lease": lease_id,
@@ -783,90 +721,82 @@ class _Session:
         )
         return streamed + len(records)
 
+    def _execute_serial(
+        self, lease_id: int, units: list[WorkUnit]
+    ) -> tuple[list, list[dict]] | None:
+        """Execute a lease unit by unit in this process, streaming each
+        record and heartbeating after each unit.  Returns the records
+        for the final ``result`` (none: all streamed) and the failure
+        reports, or None when the lease was lost.  A drain request
+        stops before the next unit; the coordinator re-pends the
+        unreported rest without charge."""
+        failed: list[dict] = []
+        for position, unit in enumerate(units):
+            if self.drain_check is not None and self.drain_check():
+                self.log(
+                    f"{self.name}: draining; releasing "
+                    f"{len(units) - position} unexecuted unit(s) of "
+                    f"lease {lease_id}"
+                )
+                break
+            try:
+                record = execute_unit(unit)
+            except Exception as exc:
+                failed.append(_failure(unit, exc))
+                self.log(f"{self.name}: unit {unit.key!r} failed: {exc}")
+            else:
+                self._stream(lease_id, record)
+            if not self._beat_both(lease_id):
+                return None
+        return [], failed
+
     def _execute_pooled(
         self, lease_id: int, units: list[WorkUnit]
-    ) -> tuple[list, list[dict], int] | None:
+    ) -> tuple[list, list[dict]] | None:
         """Execute a lease through the process pool (``jobs > 1``).
 
-        Each completed chunk streams a ``result-part`` (v3) and a
-        heartbeat; the acks are drained afterwards (the socket buffers
-        them).  A pool failure cannot name the culprit unit, so the
-        lease falls back to per-unit in-process execution to attribute
-        it.  Returns None when the lease was lost (acks said
-        ``held=False``) — the caller discards everything.
+        Each completed unit streams a ``result-part`` and a heartbeat;
+        the acks are drained afterwards (the socket buffers them).  A
+        pool failure cannot name the culprit unit, so the lease falls
+        back to per-unit in-process execution to attribute it; those
+        records ride in the final ``result``.  Returns what
+        :meth:`_execute_serial` does.
         """
         beats_sent = 0
-        streamed = 0
 
         def beat(_index: int, record) -> None:
-            nonlocal beats_sent, streamed
-            if self.v3 and record is not None:
-                self._send(
-                    {
-                        "type": "result-part",
-                        "lease": lease_id,
-                        "records": [record.to_json()],
-                    }
-                )
-                self.stats.parts_sent += 1
-                streamed += 1
-            event = fault_at("worker.heartbeat", token=lease_id)
-            if event is not None and event.kind == "drop":
-                self.log(
-                    f"{self.name}: heartbeat for lease {lease_id} "
-                    "dropped (injected)"
-                )
-                return
-            self._send({"type": "heartbeat", "lease": lease_id})
-            beats_sent += 1
+            nonlocal beats_sent
+            self._stream(lease_id, record)
+            if self._send_heartbeat(lease_id):
+                beats_sent += 1
 
-        from ..errors import ResultHookError
-
+        records: list = []
         failed: list[dict] = []
         try:
-            records = run_units(units, self.config, on_record=beat)
-            if self.v3:
-                # Everything healthy already streamed as parts; the
-                # final result only needs the failures (and timing).
-                records = []
-        except ResultHookError as exc:
+            run_units(units, self.config, on_record=beat)
+        except (ResultHookError, OSError) as exc:
             # The beat hook is the only on_record here, so a hook
             # failure is a send failure: the connection is gone.
-            raise _ConnectionLost(str(exc)) from exc
-        except OSError as exc:
             raise _ConnectionLost(str(exc)) from exc
         except Exception as exc:
             self.log(
                 f"{self.name}: pooled lease {lease_id} failed ({exc}); "
                 "re-running per unit to attribute"
             )
-            records = []
             for unit in units:
                 try:
                     records.append(execute_unit(unit))
                 except Exception as unit_exc:
-                    failed.append(
-                        {
-                            "key": unit.key,
-                            "error": (
-                                f"{type(unit_exc).__name__}: {unit_exc}"
-                            ),
-                        }
-                    )
-        held = True
+                    failed.append(_failure(unit, unit_exc))
         for _ in range(beats_sent):
             if not self._await_beat(lease_id):
-                held = False
-                break  # later acks drain as stale beats, if ever read
-        if not held:
-            if self.done_seen:
-                return None
-            self.log(
-                f"{self.name}: lease {lease_id} no longer held; "
-                f"discarding {len(units)} pooled unit result(s)"
-            )
-            return None
-        return records, failed, streamed
+                return None  # later acks drain as stale beats, if ever read
+        return records, failed
+
+
+def _failure(unit: WorkUnit, exc: Exception) -> dict:
+    """One ``failed`` entry of a ``result``: the unit and what it raised."""
+    return {"key": unit.key, "error": f"{type(exc).__name__}: {exc}"}
 
 
 # ---------------------------------------------------------------------------

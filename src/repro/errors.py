@@ -41,11 +41,6 @@ class KernelTimeoutError(ReproError):
         super().__init__(f"kernel did not terminate within {ticks} ticks")
 
 
-class BarrierDivergenceError(ReproError):
-    """Not all threads of a block reached a barrier (undefined behaviour
-    in CUDA; a hard error in our simulator)."""
-
-
 class InvalidAccessError(ReproError):
     """A kernel accessed memory outside any allocated buffer."""
 

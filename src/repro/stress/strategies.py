@@ -20,7 +20,6 @@ Stressing thread counts follow the paper's two regimes:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,11 +265,3 @@ def with_threads_range(strategy, threads_range: tuple[int, int]):
         return strategy
     return replace(strategy, threads_range=threads_range)
 
-
-def sequence_for(strategy) -> Sequence[str] | None:
-    """The access sequence a strategy stresses with, if any."""
-    if isinstance(strategy, FixedLocationStress):
-        return strategy.sequence
-    if isinstance(strategy, TunedStress):
-        return strategy.config.sequence
-    return None

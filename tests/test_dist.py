@@ -406,6 +406,45 @@ class TestCoordinatorWorker:
         thread.join(timeout=30)
         assert "records" in box
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "heartbeat", "lease": [1]},
+            {"type": "result", "lease": 1, "failed": ["x"]},
+            {"type": "result", "lease": 1, "records": "zz"},
+            {"type": "release", "lease": {}},
+            {"type": "result-part", "lease": 1, "records": [1]},
+        ],
+        ids=[
+            "heartbeat-list-lease",
+            "result-str-failure",
+            "result-str-records",
+            "release-dict-lease",
+            "result-part-int-record",
+        ],
+    )
+    def test_malformed_field_costs_only_its_connection(self, frame):
+        # A well-framed message with one malformed field gets its
+        # sender an error frame and a dropped connection; the campaign
+        # carries on and a healthy worker finishes it.
+        units = _plan()
+        expected = run_units(units)
+        coordinator = Coordinator(units)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        sock, decoder = _fake_worker(host, port, name="sloppy")
+        try:
+            send_message(sock, {"type": "request"})
+            assert recv_message(sock, decoder)["type"] == "lease"
+            send_message(sock, frame)
+            assert recv_message(sock, decoder)["type"] == "error"
+            assert recv_message(sock, decoder) is None  # dropped
+        finally:
+            sock.close()
+        run_worker(host, port, name="survivor")
+        thread.join(timeout=30)
+        assert box["records"] == expected
+
     def test_hello_required_first(self):
         units = _plan(n=1)
         coordinator = Coordinator(units)

@@ -10,16 +10,21 @@ at every layer boundary:
   hypothesis fuzz of the inflate path — bit flips, truncation, bombs
   and trailing bytes must all surface as typed
   :class:`~repro.errors.ProtocolError`, never anything else;
-* the v3<->v2 handshake downgrade in both directions (old worker on a
-  new coordinator, new worker told to speak v2);
+* the one-version handshake: a coordinator refuses a ``hello`` and a
+  worker refuses a ``welcome`` with any protocol but
+  :data:`~repro.dist.PROTOCOL_VERSION` (older or newer versions,
+  ``True``, ``"3"``, ``3.0``, null or no field at all);
 * lease pipelining and ``result-part`` streaming end to end, with the
-  byte-identity contract checked against a serial run;
+  byte-identity contract checked against a serial run, and the
+  worker's pooled lease path (``jobs > 1``) including its per-unit
+  failure attribution;
 * the idle-free wire: ``TCP_NODELAY`` on every dist TCP socket, and a
   worker parked on ``wait`` that wakes on ``done`` or a closed socket.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -36,6 +41,7 @@ from repro.dist import (
     LeaseTable,
     MAX_FRAME,
     MAX_LEASE_UNITS,
+    PROTOCOL_VERSION,
     WorkerStats,
     encode_frame,
     recv_message,
@@ -49,10 +55,10 @@ from repro.dist.coordinator import (
 )
 from repro.dist.leases import EWMA_ALPHA, TAIL_FACTOR
 from repro.dist.worker import RETRY_MAX_S, _ConnectionLost, _Session
-from repro.errors import DistError, ProtocolError
+from repro.errors import DistError, ProtocolError, QuarantineError
 from repro.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.litmus.units import litmus_unit
-from repro.parallel import run_units
+from repro.parallel import WorkUnit, run_units
 from repro.parallel.executor import SERIAL
 from repro.store import litmus_key
 from repro.stress.strategies import NoStress
@@ -233,20 +239,23 @@ def _big_message(n=60):
     return {"type": "result", "records": ["payload-" * 16] * n}
 
 
+def _raw_payload(message):
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
 class TestFrameCompression:
     def test_round_trip_sets_the_flag_and_shrinks(self):
         message = _big_message()
-        raw = encode_frame(message)
-        frame = encode_frame(message, compress=True)
-        assert len(frame) < len(raw)
+        frame = encode_frame(message)
+        assert len(frame) < 4 + len(_raw_payload(message))
         (header,) = (int.from_bytes(frame[:4], "big"),)
         assert header & COMPRESS_FLAG
         assert FrameDecoder().feed(frame) == [message]
 
     def test_small_frames_ship_raw(self):
         message = {"type": "request"}
-        frame = encode_frame(message, compress=True)
-        assert frame == encode_frame(message)
+        frame = encode_frame(message)
+        assert frame[4:] == _raw_payload(message)
         assert not int.from_bytes(frame[:4], "big") & COMPRESS_FLAG
 
     def test_compression_that_grows_a_frame_is_skipped(self, monkeypatch):
@@ -257,8 +266,8 @@ class TestFrameCompression:
             lambda data, level=6: data + b"pad",
         )
         message = _big_message()
-        frame = encode_frame(message, compress=True)
-        assert frame == encode_frame(message)
+        frame = encode_frame(message)
+        assert frame[4:] == _raw_payload(message)
         assert not int.from_bytes(frame[:4], "big") & COMPRESS_FLAG
         assert FrameDecoder().feed(frame) == [message]
 
@@ -268,9 +277,7 @@ class TestFrameCompression:
         left, right = socket.socketpair()
         out_stats, in_stats = WireStats(), WireStats()
         try:
-            send_message(
-                left, _big_message(), compress=True, stats=out_stats
-            )
+            send_message(left, _big_message(), stats=out_stats)
             decoder = FrameDecoder(stats=in_stats)
             assert recv_message(right, decoder) == _big_message()
         finally:
@@ -301,7 +308,7 @@ class TestCompressedFrameFuzz:
     """The inflate path under hostile bytes: every corruption is a
     typed ProtocolError — never a hang, a crash, or silent garbage."""
 
-    _FRAME = encode_frame(_big_message(), compress=True)
+    _FRAME = encode_frame(_big_message())
 
     @settings(
         max_examples=60,
@@ -351,51 +358,38 @@ class TestCompressedFrameFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Handshake negotiation / downgrade
+# Handshake: one protocol version, anything else refused
+
+#: Marks a ``protocol`` field left out of the frame (not sent as null).
+_MISSING = object()
+
+#: Every ``protocol`` value but the one spoken: older and newer
+#: versions, and values that compare equal to 3 without being the int.
+_OTHER_VERSIONS = [
+    1,
+    2,
+    4,
+    5,
+    True,
+    "3",
+    3.0,
+    None,
+    pytest.param(_MISSING, id="missing"),
+]
+
+
+def _with_protocol(message, version):
+    if version is not _MISSING:
+        message["protocol"] = version
+    return message
 
 
 class TestHandshakeDowngrade:
-    def test_v2_worker_served_by_v3_coordinator(self):
-        units = _units(n=1)
-        coordinator = Coordinator(units, compress=True)
-        host, port = coordinator.bind()
-        thread, box = _serve_in_thread(coordinator)
-        sock = socket.create_connection((host, port), timeout=10)
-        sock.settimeout(10)
-        decoder = FrameDecoder()
-        try:
-            send_message(
-                sock,
-                {
-                    "type": "hello",
-                    "worker": "legacy",
-                    "protocol": 2,
-                    "compress": True,  # v2 asking for it changes nothing
-                },
-            )
-            welcome = recv_message(sock, decoder)
-            assert welcome["type"] == "welcome"
-            assert welcome["protocol"] == 2
-            assert welcome["compress"] is False
-            send_message(sock, {"type": "request"})
-            lease = recv_message(sock, decoder)
-            assert lease["type"] == "lease"
-            records = run_units(units, SERIAL)
-            send_message(
-                sock,
-                {
-                    "type": "result",
-                    "lease": lease["lease"],
-                    "records": [r.to_json() for r in records],
-                },
-            )
-            assert recv_message(sock, decoder)["type"] == "done"
-        finally:
-            sock.close()
-        thread.join(timeout=30)
-        assert [r.key for r in box["records"]] == [u.key for u in units]
+    """A peer offering any protocol but PROTOCOL_VERSION, a v2
+    downgrade included, is refused on either side of the handshake."""
 
-    def test_v3_features_fenced_off_from_v2_connections(self):
+    @pytest.mark.parametrize("version", _OTHER_VERSIONS)
+    def test_coordinator_refuses_any_other_version(self, version):
         units = _units(n=1)
         coordinator = Coordinator(units)
         host, port = coordinator.bind()
@@ -405,64 +399,41 @@ class TestHandshakeDowngrade:
         decoder = FrameDecoder()
         try:
             send_message(
-                sock, {"type": "hello", "worker": "old", "protocol": 2}
+                sock,
+                _with_protocol({"type": "hello", "worker": "other"}, version),
             )
-            assert recv_message(sock, decoder)["type"] == "welcome"
-            # A v2 connection sending a v3-only frame is a protocol
-            # violation, not a silent no-op.
-            send_message(sock, {"type": "result-part", "lease": 1})
             reply = recv_message(sock, decoder)
             assert reply["type"] == "error"
-            assert "result-part" in reply["message"]
+            assert "protocol" in reply["message"]
+            assert recv_message(sock, decoder) is None  # dropped
         finally:
             sock.close()
-        run_worker(host, port)  # a real worker finishes the campaign
+        run_worker(host, port)  # a current worker still completes
         thread.join(timeout=30)
-        assert "records" in box
+        assert [r.to_json() for r in box["records"]] == [
+            r.to_json() for r in run_units(units, SERIAL)
+        ]
 
-    def test_worker_accepts_a_v2_downgrade(self):
+    @pytest.mark.parametrize("version", _OTHER_VERSIONS)
+    def test_worker_refuses_an_unusable_negotiation(self, version):
+        # "Unusable" is any welcome but PROTOCOL_VERSION: there is
+        # nothing to negotiate down to.
         left, right = socket.socketpair()
         left.settimeout(10)
         right.settimeout(10)
         try:
             send_message(
                 left,
-                {
-                    "type": "welcome",
-                    "protocol": 2,
-                    "compress": True,  # lying coordinator: v2 wins
-                    "units_total": 0,
-                },
+                _with_protocol({"type": "welcome", "units_total": 0}, version),
             )
-            session = _Session(right, name="w", protocol=3, compress=True)
-            session._handshake()
-            assert session.negotiated == 2
-            assert not session.v3
-            assert session.send_compress is False
-            hello = recv_message(left, FrameDecoder())
-            assert hello["protocol"] == 3
-            assert hello["compress"] is True
-        finally:
-            left.close()
-            right.close()
-
-    @pytest.mark.parametrize("negotiated", [5, 1, True, "3", None])
-    def test_worker_refuses_an_unusable_negotiation(self, negotiated):
-        left, right = socket.socketpair()
-        left.settimeout(10)
-        right.settimeout(10)
-        try:
-            send_message(
-                left,
-                {
-                    "type": "welcome",
-                    "protocol": negotiated,
-                    "units_total": 0,
-                },
-            )
-            session = _Session(right, name="w", protocol=3)
-            with pytest.raises(ProtocolError, match="negotiated"):
+            session = _Session(right, name="w")
+            with pytest.raises(ProtocolError, match="speaks protocol"):
                 session._handshake()
+            assert recv_message(left, FrameDecoder()) == {
+                "type": "hello",
+                "worker": "w",
+                "protocol": PROTOCOL_VERSION,
+            }
         finally:
             left.close()
             right.close()
@@ -476,7 +447,7 @@ class TestPipelining:
     def test_pipelined_campaign_is_byte_identical_to_serial(self):
         units = _units(n=12)
         reference = run_units(units, SERIAL)
-        coordinator = Coordinator(units, compress=True)
+        coordinator = Coordinator(units)
         host, port = coordinator.bind()
         thread, box = _serve_in_thread(coordinator)
         stats = WorkerStats()
@@ -499,7 +470,6 @@ class TestPipelining:
         logs = []
         try:
             session = _Session(right, name="w", log=logs.append)
-            session.negotiated = 3
             session.prefetch = {"type": "lease", "lease": 9, "units": []}
             session._retire("drain test")
             decoder = FrameDecoder()
@@ -522,7 +492,6 @@ class TestPipelining:
                 left, {"type": "lease", "lease": 4, "units": []}
             )
             session = _Session(right, name="w")
-            session.negotiated = 3
             session.prefetch_pending = True
             session._retire("drain test")
             decoder = FrameDecoder()
@@ -542,7 +511,6 @@ class TestPipelining:
         try:
             send_message(left, {"type": "done"})
             session = _Session(right, name="w")
-            session.negotiated = 3
             session.prefetch_pending = True
             session._retire("drain test")
             assert session.done_seen
@@ -573,7 +541,11 @@ class TestResultPartStreaming:
             send_message(
                 sock, {"type": "hello", "worker": "streamer", "protocol": 3}
             )
-            assert recv_message(sock, decoder)["type"] == "welcome"
+            assert recv_message(sock, decoder) == {
+                "type": "welcome",
+                "protocol": PROTOCOL_VERSION,
+                "units_total": 2,
+            }
             send_message(sock, {"type": "request"})
             lease = recv_message(sock, decoder)
             lease_id = lease["lease"]
@@ -613,6 +585,45 @@ class TestResultPartStreaming:
         assert streamed == [0, 1]  # fresh merges only, once each
         # The worker's self-reported timing fed the controller.
         assert coordinator._table.service_ewma  # noqa: SLF001
+
+
+class TestPooledLeasePath:
+    """``jobs > 1`` on a multi-unit lease: the units run through the
+    process pool and each record streams from its ``on_record`` hook."""
+
+    def test_pooled_lease_matches_serial(self):
+        units = _units(n=4)
+        reference = run_units(units, SERIAL)
+        coordinator = Coordinator(units, units_per_lease=4)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        stats = WorkerStats()
+        run_worker(host, port, name="pooled", jobs=2, stats=stats)
+        thread.join(timeout=60)
+        assert [r.to_json() for r in box["records"]] == [
+            r.to_json() for r in reference
+        ]
+        assert stats.parts_sent == 4
+
+    def test_pool_failure_is_attributed_to_the_failing_unit(self):
+        # A unit no executor knows fails the pooled map, which cannot
+        # say which unit it was: the worker re-runs the lease unit by
+        # unit and reports only that one as failed.
+        units = _units(n=4)
+        bogus = WorkUnit(kind="bogus", key="bogus:0", spec={})
+        coordinator = Coordinator(
+            units + [bogus], units_per_lease=5, max_attempts=1
+        )
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        run_worker(host, port, name="pooled", jobs=2)
+        thread.join(timeout=60)
+        error = box["error"]
+        assert isinstance(error, QuarantineError)
+        assert set(error.quarantined) == {"bogus:0"}
+        assert [r.to_json() for r in error.records] == [
+            r.to_json() for r in run_units(units, SERIAL)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +691,6 @@ class TestIdleFreeWire:
         ``wait`` at the retry ceiling; returns once the worker parked."""
         send_message(left, {"type": "wait", "retry_s": RETRY_MAX_S})
         session = _Session(right, name="parked")
-        session.negotiated = 3
         box = {}
 
         def target():

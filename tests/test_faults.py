@@ -542,7 +542,8 @@ class TestHeartbeatDiscard:
 
     def test_lost_lease_discards_in_flight_work(self):
         # held=False on a heartbeat ack means the lease was reassigned:
-        # the worker must drop its records, not report stale duplicates.
+        # the worker stops executing it and sends no result.  Only the
+        # record already streamed counts; it merged idempotently.
         left, right = socket.socketpair()
         left.settimeout(10)
         right.settimeout(10)
@@ -557,8 +558,8 @@ class TestHeartbeatDiscard:
 
         def fake_coordinator():
             decoder = FrameDecoder()
-            beat = recv_message(left, decoder)
-            assert beat == {"type": "heartbeat", "lease": 7}
+            # The prefetch request, the first unit's record, its beat.
+            box["frames"] = [recv_message(left, decoder) for _ in range(3)]
             send_message(
                 left, {"type": "beat", "lease": 7, "held": False}
             )
@@ -573,7 +574,12 @@ class TestHeartbeatDiscard:
         right.close()
         thread.join(timeout=10)
         left.close()
-        assert executed == 0
+        request, part, beat = box["frames"]
+        assert request == {"type": "request"}
+        assert part["type"] == "result-part" and part["lease"] == 7
+        assert [r["key"] for r in part["records"]] == [units[0].key]
+        assert beat == {"type": "heartbeat", "lease": 7}
+        assert executed == 1
         assert box["after"] is None  # no result frame was ever sent
         assert any("discarding" in line for line in logs)
 
@@ -871,7 +877,7 @@ class TestFrameDecoderFuzz:
     )
     @given(
         # Any header whose *masked* length exceeds MAX_FRAME must be
-        # refused — with or without the v3 compress bit (the top bit).
+        # refused — with or without the compress bit (the top bit).
         length=st.one_of(
             st.integers(MAX_FRAME + 1, COMPRESS_FLAG - 1),
             st.integers(COMPRESS_FLAG + MAX_FRAME + 1, 2**32 - 1),
