@@ -53,7 +53,7 @@ def main() -> None:
     print("2. The same campaign through two localhost socket workers...")
     distributed = run_experiment(
         "table5", scale=SCALE, seed=7, chips=CHIPS,
-        environments=ENVIRONMENTS, dist=2,
+        environments=ENVIRONMENTS, submit=DistributedSubmit(workers=2),
     )
     assert distributed == serial, "distributed must be byte-identical"
     print("   byte-identical to serial: yes")
@@ -108,7 +108,8 @@ def main() -> None:
         ledger_dir = root / "ledger"
         ledgered = run_experiment(
             "table5", scale=SCALE, seed=7, chips=CHIPS,
-            environments=ENVIRONMENTS, dist=2, out=str(ledger_dir),
+            environments=ENVIRONMENTS, submit=DistributedSubmit(workers=2),
+            out=str(ledger_dir),
         )
         assert ledgered == serial
         print(

@@ -2,9 +2,7 @@
 
 Subcommands:
 
-* ``experiment <id>`` — regenerate a paper table/figure
-  (``table1``, ``fig3``, ``table2``, ``table3``, ``fig4``, ``table4``,
-  ``table5``, ``table6``, ``fig5``);
+* ``experiment <id>`` — regenerate a paper table/figure or the survey;
 * ``litmus`` — run one litmus test under a stressing configuration;
 * ``axiom`` — classify a test's final states against the axiomatic
   weak-memory model (verdict table with witness executions);
@@ -22,18 +20,24 @@ Subcommands:
   (quarantine corrupt segments, recover intact records) a run ledger;
 * ``chips`` / ``apps`` / ``tests`` — list the registries.
 
-Every run-loop subcommand accepts ``--jobs N`` to shard its work across
-worker processes (``0`` = one per CPU); results are identical at any
-job count.  It also accepts ``--out DIR`` / ``--resume DIR`` to attach
-a persistent run ledger: completed results stream into DIR as they
-finish, a resumed invocation replays only the missing keys
-(bit-identically to an uninterrupted run), and a complete ledger
-regenerates its artefact with zero simulation runs.
+An option that several subcommands take is defined once, in
+``_OPTIONS``.  The run options change how a run executes, never what it
+computes: ``--jobs N`` shards the run loops over worker processes
+(results are identical at any job count), and ``--out DIR`` /
+``--resume DIR`` attach a run ledger, so a resumed run replays only the
+missing keys, bit-identically.  The filters (``--chips``,
+``--environments``, ``--tests``, ``--backend``) fill the experiment
+parameters of the same name, read off its signature; a filter the
+experiment does not take is refused.  ``main`` is the one error
+boundary: a ``ReproError`` or ``ValueError`` prints ``gpu-wmm: error:``
+and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 
 from .apps.registry import APP_ORDER, get_application
@@ -49,10 +53,11 @@ from .parallel import ParallelConfig, jobs_arg
 from .reporting.experiments import (
     DISTRIBUTABLE,
     EXPERIMENTS,
+    experiment_params,
     open_ledger,
     run_experiment,
 )
-from .store import litmus_key, records as store_records, stress_token
+from .store import cached_or_run, litmus_key, records as store_records, stress_token
 from .scale import get_scale
 from .stress.environment import ENVIRONMENT_ORDER, standard_environments
 from .stress.sequences import parse_sequence
@@ -79,72 +84,132 @@ def _test_arg(value: str) -> str:
         ) from None
 
 
-def _lease_units_arg(value: str) -> int:
-    """argparse type for ``--units-per-lease``: a positive batch size."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}"
-        ) from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("units per lease must be >= 1")
-    return n
+def _checked(convert, ok, message: str):
+    """argparse type: ``convert`` the string, then refuse a value that
+    fails ``ok``.  It carries ``convert``'s name, so argparse reports a
+    string ``convert`` rejects as, e.g., ``invalid int value``."""
+
+    def parse(value: str):
+        x = convert(value)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(message)
+        return x
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _lease_target_arg(value: str) -> float:
-    """argparse type for ``--lease-target-seconds``: finite, positive."""
-    import math
-
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {value!r}"
-        ) from None
-    if not math.isfinite(x) or x <= 0:
-        raise argparse.ArgumentTypeError(
-            "lease target must be a finite number of seconds > 0"
-        )
-    return x
+#: A count of at least one: units per lease, chaos workers and attempts.
+_count_arg = _checked(int, lambda n: n >= 1, "count must be >= 1")
+#: A lease duration: the adaptive lease target and the lease timeout.
+_seconds_arg = _checked(
+    float,
+    lambda x: math.isfinite(x) and x > 0,
+    "must be a finite number of seconds > 0",
+)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scale",
-        default="smoke",
-        choices=["smoke", "default", "paper"],
+#: Every option that more than one subcommand takes, defined once.  A
+#: subcommand adds them by name (:func:`_add_options`) and may override
+#: only their ``default`` and ``help``.
+_OPTIONS: dict[str, dict] = {
+    "--seed": dict(type=int, default=0),
+    "--scale": dict(
+        default="smoke", choices=["smoke", "default", "paper"],
         help="experiment scale preset (sample sizes; default: smoke)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=jobs_arg,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the run loops (default: serial; "
-            "0 = one per CPU; results are identical at any job count)"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
+    ),
+    "--jobs": dict(
+        type=jobs_arg, metavar="N",
+        help="worker processes for the run loops (default: serial; "
+        "0 = one per CPU; results are identical at any job count)",
+    ),
+    "--out": dict(
         metavar="DIR",
-        help=(
-            "write completed results to a run ledger at DIR "
-            "(created if missing; already-ledgered results are reused)"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        default=None,
+        help="write completed results to a run ledger at DIR "
+        "(created if missing; already-ledgered results are reused)",
+    ),
+    "--resume": dict(
         metavar="DIR",
-        help=(
-            "resume from the run ledger at DIR (must exist); only "
-            "missing results are re-run, bit-identically to a cold run"
-        ),
-    )
+        help="resume from the run ledger at DIR (must exist); only "
+        "missing results are re-run, bit-identically to a cold run",
+    ),
+    "--chip": dict(
+        default="K20", choices=_CHIP_NAMES,
+        help=f"chip to run on ({', '.join(_CHIP_NAMES)}; default: K20)",
+    ),
+    "--chips": dict(
+        nargs="+", choices=_CHIP_NAMES, metavar="CHIP",
+        help=f"restrict to these chips (choices: {', '.join(_CHIP_NAMES)}; "
+        "default: the experiment's own selection)",
+    ),
+    "--environments": dict(
+        nargs="+", choices=ENVIRONMENT_ORDER, metavar="ENV",
+        help="restrict table5 to these environments "
+        f"(choices: {', '.join(ENVIRONMENT_ORDER)})",
+    ),
+    "--tests": dict(
+        nargs="+", type=_test_arg, metavar="TEST",
+        help="restrict the survey experiment to these litmus tests "
+        f"(choices: {', '.join(_TEST_NAMES)})",
+    ),
+    "--backend": dict(
+        choices=tuple(BACKENDS),
+        help="litmus backend for the survey experiment "
+        f"(choices: {', '.join(BACKENDS)}; default: the scale's "
+        "litmus_backend knob)",
+    ),
+    "--dist": dict(
+        type=jobs_arg, metavar="N",
+        help="serve the experiment's work units to N local worker "
+        "subprocesses through the lease coordinator (distributable "
+        f"experiments: {', '.join(sorted(DISTRIBUTABLE))}; results are "
+        "byte-identical to a local run)",
+    ),
+    "--units-per-lease": dict(
+        aliases=("--lease-units",), dest="units_per_lease",
+        type=_count_arg, metavar="N",
+        help="fix the work units granted per lease (default: adaptive — "
+        "the coordinator sizes each worker's leases from its measured "
+        "per-unit service time)",
+    ),
+    "--lease-target-seconds": dict(
+        dest="lease_target_s", type=_seconds_arg,
+        default=DEFAULT_TARGET_LEASE_S, metavar="S",
+        help="compute duration one adaptive lease targets (default: "
+        f"{DEFAULT_TARGET_LEASE_S}; ignored with a fixed --units-per-lease)",
+    ),
+    "--lease-timeout": dict(
+        type=_seconds_arg, default=60.0, metavar="S",
+        help="seconds a silent worker holds a lease before its units are "
+        "reassigned (default: 60)",
+    ),
+    "--executions": dict(type=int, default=200),
+}
+
+#: Options that change how a run executes, never what it computes, so
+#: every run subcommand takes them.
+_RUN = ("--seed", "--scale", "--jobs", "--out", "--resume")
+#: Options that restrict what an experiment computes, each with the
+#: experiment parameters it can fill (see :func:`_experiment_kwargs`).
+_FILTERS = {
+    "--chips": ("chips", "chip"),
+    "--environments": ("environments",),
+    "--tests": ("tests",),
+    "--backend": ("backend",),
+}
+_LEASE_SIZING = ("--units-per-lease", "--lease-target-seconds")
+
+
+def _add_options(
+    parser: argparse.ArgumentParser, *names: str, **override
+) -> None:
+    """Add the shared options ``names`` to ``parser``; ``override``
+    (``default=``, ``help=``) applies to each of them, so pass it with
+    one name."""
+    for name in names:
+        kwargs = {**_OPTIONS[name], **override}
+        aliases = kwargs.pop("aliases", ())
+        parser.add_argument(name, *aliases, **kwargs)
 
 
 def _parallel(args: argparse.Namespace) -> ParallelConfig | None:
@@ -152,77 +217,39 @@ def _parallel(args: argparse.Namespace) -> ParallelConfig | None:
     return None if args.jobs is None else ParallelConfig(jobs=args.jobs)
 
 
-def _ledger(args: argparse.Namespace):
-    """The RunLedger implied by ``--out`` / ``--resume`` (or None)."""
-    return open_ledger(args.out, args.resume)
-
-
 def _experiment_kwargs(args: argparse.Namespace) -> dict[str, object]:
-    """Per-experiment keyword arguments from the shared filter flags.
+    """The experiment's keyword arguments from the filter options.
 
-    Raises :class:`ReproError` on a flag/experiment mismatch (rendered
-    as a usage error by the callers).
+    Each filter fills the first of its parameters that the experiment
+    declares (``--chips`` fills ``chip`` on an experiment centred on
+    one chip).  Raises :class:`ReproError` for a filter the experiment
+    does not take, naming the experiments that do take it.
     """
+    params = experiment_params(args.id)
     kwargs: dict[str, object] = {}
-    if args.chips:
-        # Experiments centred on a single chip take ``chip``; the grid
-        # experiments take a ``chips`` tuple.  table1/table4 are static
-        # registry renders and ignore the filter.
-        if args.id in ("table3", "table6"):
-            if len(args.chips) > 1:
+    for option, fills in _FILTERS.items():
+        value = getattr(args, option.removeprefix("--"))
+        if value is None:
+            continue
+        param = next((p for p in fills if p in params), None)
+        if param is None:
+            takers = [
+                name for name in sorted(EXPERIMENTS)
+                if experiment_params(name).intersection(fills)
+            ]
+            raise ReproError(
+                f"{option} only applies to {', '.join(takers)}, "
+                f"not {args.id}"
+            )
+        if param == "chip":
+            if len(value) > 1:
                 raise ReproError(
                     f"experiment {args.id} runs on a single chip; "
-                    f"got --chips {' '.join(args.chips)}"
+                    f"got --chips {' '.join(value)}"
                 )
-            kwargs["chip"] = args.chips[0]
-        elif args.id in ("fig3", "table2", "fig4", "table5", "fig5",
-                         "survey"):
-            kwargs["chips"] = tuple(args.chips)
-    if args.environments and args.id == "table5":
-        kwargs["environments"] = tuple(args.environments)
-    if args.tests:
-        if args.id != "survey":
-            raise ReproError(
-                "--tests only applies to the survey experiment, "
-                f"not {args.id}"
-            )
-        kwargs["tests"] = tuple(args.tests)
-    if args.backend:
-        if args.id != "survey":
-            raise ReproError(
-                "--backend only applies to the survey experiment, "
-                f"not {args.id}"
-            )
-        kwargs["backend"] = args.backend
+            value = value[0]
+        kwargs[param] = tuple(value) if isinstance(value, list) else value
     return kwargs
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        kwargs = _experiment_kwargs(args)
-    except ReproError as exc:
-        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        text = run_experiment(
-            args.id,
-            scale=args.scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            out=args.out,
-            resume=args.resume,
-            dist=args.dist,
-            units_per_lease=args.units_per_lease,
-            lease_target_s=args.lease_target_s,
-            **kwargs,
-        )
-    except (ReproError, ValueError) as exc:
-        # E.g. tuning experiments on sc-ref: the SC reference chip shows
-        # no weak behaviours, so patch finding legitimately fails.
-        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
-    return 0
 
 
 def _stderr_log(message: str) -> None:
@@ -231,34 +258,29 @@ def _stderr_log(message: str) -> None:
     print(f"gpu-wmm: {message}", file=sys.stderr)
 
 
-def _cmd_coordinate(args: argparse.Namespace) -> int:
-    from .dist import DistributedSubmit
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``experiment`` and ``coordinate``: render one artefact, its work
+    units served to socket workers under ``coordinate`` or ``--dist
+    N``."""
+    kwargs = _experiment_kwargs(args)
+    submit = None
+    if args.command == "coordinate" or args.dist:
+        from .dist import DistributedSubmit
 
-    submit = DistributedSubmit(
-        workers=args.dist,
-        host=args.host,
-        port=args.port,
-        lease_timeout=args.lease_timeout,
-        units_per_lease=args.units_per_lease,
-        lease_target_s=args.lease_target_s,
-        worker_jobs=args.worker_jobs,
-        log=_stderr_log,
-    )
-    try:
-        text = run_experiment(
-            args.id,
-            scale=args.scale,
-            seed=args.seed,
-            jobs=args.jobs,
-            out=args.out,
-            resume=args.resume,
-            submit=submit,
-            **_experiment_kwargs(args),
+        # Every coordinator setting this subcommand has an option for;
+        # ``experiment`` keeps the defaults of the ones it lacks.
+        settings = {
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(DistributedSubmit)
+            if hasattr(args, f.name)
+        }
+        submit = DistributedSubmit(
+            workers=args.dist, log=_stderr_log, **settings
         )
-    except (ReproError, ValueError) as exc:
-        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
+    print(run_experiment(
+        args.id, scale=args.scale, seed=args.seed, jobs=args.jobs,
+        out=args.out, resume=args.resume, submit=submit, **kwargs,
+    ))
     return 0
 
 
@@ -266,25 +288,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import FaultPlan
     from .faults.chaos import run_chaos
 
-    try:
-        kwargs = _experiment_kwargs(args)
-        plan = FaultPlan.load(args.plan)
-        report = run_chaos(
-            args.id,
-            plan,
-            scale=args.scale,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-            lease_timeout=args.lease_timeout,
-            reconnect_timeout=args.reconnect_timeout,
-            max_attempts=args.max_attempts,
-            log=_stderr_log,
-            **kwargs,
-        )
-    except (ReproError, ValueError) as exc:
-        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
-        return 2
+    kwargs = _experiment_kwargs(args)
+    report = run_chaos(
+        args.id,
+        FaultPlan.load(args.plan),
+        scale=args.scale,
+        seed=args.seed,
+        workers=args.workers,
+        out=args.out,
+        lease_timeout=args.lease_timeout,
+        reconnect_timeout=args.reconnect_timeout,
+        max_attempts=args.max_attempts,
+        log=_stderr_log,
+        **kwargs,
+    )
     print(report.summary())
     if not report.identical:
         print(
@@ -365,19 +382,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .reporting.axiom import render_synth_report, synth_survey
     from .testing.soundness import soundness_gate
 
-    try:
-        cfg = SynthConfig(
-            threads=args.threads,
-            max_ops=args.max_ops,
-            locations=args.locations,
-            values=args.values,
-            rmw=not args.no_rmw,
-            fences=not args.no_fences,
-            limit=args.limit or 0,
-        )
-    except ValueError as exc:
-        print(f"gpu-wmm: error: {exc}", file=sys.stderr)
-        return 2
+    cfg = SynthConfig(
+        threads=args.threads,
+        max_ops=args.max_ops,
+        locations=args.locations,
+        values=args.values,
+        rmw=not args.no_rmw,
+        fences=not args.no_fences,
+        limit=args.limit or 0,
+    )
     report = synthesize(cfg)
     print(render_synth_report(report, show_ir=not args.no_ir))
     novel = tuple(s.test for s in report.novel)
@@ -416,32 +429,24 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
         spec = FixedLocationStress(locations, sequence)
     else:
         spec = NoStress()
-    runner = BACKENDS[args.backend]
-    ledger = _ledger(args)
     key = litmus_key(
         chip.short_name, test.name, stress_token(spec), args.distance,
         args.executions, args.seed, backend=args.backend,
         randomise=args.randomise,
     )
-    if ledger is not None and (record := ledger.get(key)) is not None:
-        result = store_records.decode_litmus(record)
-    else:
-        result = runner(
-            chip,
-            test,
-            args.distance,
-            spec,
-            args.executions,
-            seed=args.seed,
-            randomise=args.randomise,
+    result = cached_or_run(
+        open_ledger(args.out, args.resume),
+        key,
+        lambda: BACKENDS[args.backend](
+            chip, test, args.distance, spec, args.executions,
+            seed=args.seed, randomise=args.randomise,
             parallel=_parallel(args),
-        )
-        if ledger is not None:
-            ledger.append(
-                store_records.encode_litmus(
-                    key, result, chip=chip.short_name, seed=args.seed
-                )
-            )
+        ),
+        lambda key, result: store_records.encode_litmus(
+            key, result, chip=chip.short_name, seed=args.seed
+        ),
+        store_records.decode_litmus,
+    )
     print(
         f"{test.name} d={args.distance} on {chip.short_name} "
         f"[{args.backend}]: {result.weak}/{result.executions} weak "
@@ -460,7 +465,7 @@ def _cmd_test_app(args: argparse.Namespace) -> int:
     env = envs[args.environment]
     cell = run_cell(
         app, chip, env, args.runs, seed=args.seed,
-        parallel=_parallel(args), ledger=_ledger(args),
+        parallel=_parallel(args), ledger=open_ledger(args.out, args.resume),
     )
     rate = 100.0 * cell.error_rate
     effective = "effective" if rate > 5.0 else "not effective"
@@ -481,7 +486,7 @@ def _cmd_harden(args: argparse.Namespace) -> int:
         scale=get_scale(args.scale),
         seed=args.seed,
         parallel=_parallel(args),
-        ledger=_ledger(args),
+        ledger=open_ledger(args.out, args.resume),
     )
     print(
         f"{app.name} on {chip.short_name}: {result.initial_fences} "
@@ -572,79 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_experiment_filters(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--chips",
-            nargs="+",
-            choices=_CHIP_NAMES,
-            default=None,
-            metavar="CHIP",
-            help=(
-                "restrict to these chips "
-                f"(choices: {', '.join(_CHIP_NAMES)}; default: the "
-                "experiment's own selection)"
-            ),
-        )
-        p.add_argument(
-            "--environments",
-            nargs="+",
-            choices=ENVIRONMENT_ORDER,
-            default=None,
-            metavar="ENV",
-            help=(
-                "restrict table5 to these environments "
-                f"(choices: {', '.join(ENVIRONMENT_ORDER)})"
-            ),
-        )
-        p.add_argument(
-            "--tests",
-            nargs="+",
-            type=_test_arg,
-            default=None,
-            metavar="TEST",
-            help=(
-                "restrict the survey experiment to these litmus tests "
-                f"(choices: {', '.join(_TEST_NAMES)})"
-            ),
-        )
-        p.add_argument(
-            "--backend",
-            default=None,
-            choices=tuple(BACKENDS),
-            help=(
-                "litmus backend for the survey experiment "
-                f"(choices: {', '.join(BACKENDS)}; default: the "
-                "scale's litmus_backend knob)"
-            ),
-        )
-
-    def _add_lease_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--units-per-lease",
-            "--lease-units",
-            dest="units_per_lease",
-            type=_lease_units_arg,
-            default=None,
-            metavar="N",
-            help=(
-                "fix the work units granted per lease (default: adaptive "
-                "— the coordinator sizes each worker's leases from its "
-                "measured per-unit service time)"
-            ),
-        )
-        p.add_argument(
-            "--lease-target-seconds",
-            dest="lease_target_s",
-            type=_lease_target_arg,
-            default=DEFAULT_TARGET_LEASE_S,
-            metavar="S",
-            help=(
-                "compute duration one adaptive lease targets (default: "
-                f"{DEFAULT_TARGET_LEASE_S}; ignored with a fixed "
-                "--units-per-lease)"
-            ),
-        )
-
     p = sub.add_parser(
         "experiment",
         help="regenerate a paper artefact (table1..table6, fig3..fig5)",
@@ -654,22 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(EXPERIMENTS),
         help="paper table/figure to regenerate",
     )
-    add_experiment_filters(p)
-    p.add_argument(
-        "--dist",
-        type=jobs_arg,
-        default=None,
-        metavar="N",
-        help=(
-            "serve the experiment's work units to N local worker "
-            "subprocesses through the lease coordinator (distributable "
-            f"experiments: {', '.join(sorted(DISTRIBUTABLE))}; results "
-            "are byte-identical to a local run)"
-        ),
-    )
-    _add_lease_args(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_experiment)
+    _add_options(p, *_FILTERS, "--dist", *_LEASE_SIZING, *_RUN)
+    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
         "coordinate",
@@ -683,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(DISTRIBUTABLE),
         help="distributable experiment to coordinate",
     )
-    add_experiment_filters(p)
+    _add_options(p, *_FILTERS)
     p.add_argument(
         "--host",
         default="127.0.0.1",
@@ -698,27 +616,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="port to listen on (default: 0 = OS-assigned ephemeral)",
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--dist",
-        type=jobs_arg,
         default=0,
-        metavar="N",
         help=(
             "also self-spawn N local worker subprocesses (default: 0 = "
             "wait for external workers only)"
         ),
     )
-    p.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=60.0,
-        metavar="S",
-        help=(
-            "seconds a silent worker holds a lease before its units "
-            "are reassigned (default: 60)"
-        ),
-    )
-    _add_lease_args(p)
+    _add_options(p, "--lease-timeout", *_LEASE_SIZING)
     p.add_argument(
         "--worker-jobs",
         type=jobs_arg,
@@ -726,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="process-pool width inside each self-spawned worker",
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_coordinate)
+    _add_options(p, *_RUN)
+    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
         "worker",
@@ -754,35 +661,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PLAN.json",
         help="fault plan JSON (see docs/ARCHITECTURE.md, Failure model)",
     )
-    add_experiment_filters(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--scale",
-        default="smoke",
-        choices=["smoke", "default", "paper"],
-        help="experiment scale preset (default: smoke)",
-    )
+    _add_options(p, *_FILTERS, "--seed")
+    _add_options(p, "--scale", help="experiment scale preset (default: smoke)")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_count_arg,
         default=2,
         metavar="N",
         help="local worker subprocesses to spawn (default: 2)",
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--out",
-        default=None,
-        metavar="DIR",
         help=(
             "attach a run ledger at DIR (also exercises ledger "
             "verify/salvage/resume when the plan injects ledger damage)"
         ),
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--lease-timeout",
-        type=float,
         default=15.0,
-        metavar="S",
         help="coordinator lease timeout under chaos (default: 15)",
     )
     p.add_argument(
@@ -794,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-attempts",
-        type=int,
+        type=_count_arg,
         default=3,
         metavar="N",
         help=(
@@ -886,22 +785,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help="stop after emitting N tests (default: all)",
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--chips",
-        nargs="+",
-        choices=_CHIP_NAMES,
-        default=None,
-        metavar="CHIP",
         help=(
             "chips for the cross-chip survey (default: all studied "
             "chips; the first chip also hosts the soundness gate)"
         ),
     )
-    p.add_argument(
-        "--executions", type=int, default=40,
+    _add_options(
+        p,
+        "--executions",
+        default=40,
         help="survey/gate executions per test (default: 40)",
     )
-    p.add_argument("--seed", type=int, default=7)
+    _add_options(p, "--seed", default=7)
     p.add_argument(
         "--no-survey", action="store_true",
         help="skip the cross-chip survey (gate only)",
@@ -923,19 +821,14 @@ def build_parser() -> argparse.ArgumentParser:
             f"({', '.join(_TEST_NAMES)})"
         ),
     )
-    p.add_argument(
-        "--chip",
-        default="K20",
-        choices=_CHIP_NAMES,
-        help=f"chip to run on ({', '.join(_CHIP_NAMES)}; default: K20)",
-    )
+    _add_options(p, "--chip")
     p.add_argument(
         "--distance",
         type=int,
         default=64,
         help="words between the x and y communication locations",
     )
-    p.add_argument("--executions", type=int, default=200)
+    _add_options(p, "--executions")
     p.add_argument(
         "--stress-at",
         default="",
@@ -952,17 +845,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="randomise SM placement and issue rates per execution",
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--backend",
         default="direct",
-        choices=tuple(BACKENDS),
         help=(
             "execution backend: the direct memory-system fast path, the "
             "test compiled to a SIMT-engine kernel, or the vectorized "
             "mega-batch backend (default: direct)"
         ),
     )
-    _add_common(p)
+    _add_options(p, *_RUN)
     p.set_defaults(fn=_cmd_litmus)
 
     p = sub.add_parser(
@@ -973,12 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=APP_ORDER,
         help=f"application ({', '.join(APP_ORDER)})",
     )
-    p.add_argument(
-        "--chip",
-        default="K20",
-        choices=_CHIP_NAMES,
-        help=f"chip to run on ({', '.join(_CHIP_NAMES)}; default: K20)",
-    )
+    _add_options(p, "--chip")
     p.add_argument(
         "--environment",
         default="sys-str+",
@@ -989,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--runs", type=int, default=40)
-    _add_common(p)
+    _add_options(p, *_RUN)
     p.set_defaults(fn=_cmd_test_app)
 
     p = sub.add_parser("harden", help="empirical fence insertion")
@@ -998,14 +886,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=APP_ORDER,
         help=f"application to harden ({', '.join(APP_ORDER)})",
     )
-    p.add_argument(
+    _add_options(
+        p,
         "--chip",
         default="Titan",
-        choices=_CHIP_NAMES,
-        help=f"chip to harden on ({', '.join(_CHIP_NAMES)}; "
-        "default: Titan)",
+        help=f"chip to harden on ({', '.join(_CHIP_NAMES)}; default: Titan)",
     )
-    _add_common(p)
+    _add_options(p, *_RUN)
     p.set_defaults(fn=_cmd_harden)
 
     return parser
@@ -1015,8 +902,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ReproError as exc:
-        # E.g. --resume pointing at a directory without a ledger.
+    except (ReproError, ValueError) as exc:
+        # What argparse cannot check: a filter the experiment does not
+        # take, --resume at a directory without a ledger, tuning on
+        # sc-ref (no weak behaviours, so patch finding fails), ...
         print(f"gpu-wmm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,8 +122,11 @@ class LeaseTable:
             import time
 
             self.now = time.monotonic
-        if self.timeout <= 0:
-            raise DistError(f"lease timeout must be > 0, got {self.timeout}")
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
+            raise DistError(
+                "lease timeout must be a finite number of seconds > 0, "
+                f"got {self.timeout}"
+            )
         if self.units_per_lease is not None and self.units_per_lease < 1:
             raise DistError(
                 f"units_per_lease must be >= 1, got {self.units_per_lease}"

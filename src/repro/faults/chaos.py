@@ -145,9 +145,10 @@ def run_chaos(
     which additionally exercises detect-salvage-resume when the plan
     injects ledger damage.  Returns a :class:`ChaosReport`; raises
     :class:`~repro.errors.ReproError` only on harness misuse (unknown
-    experiment, non-distributable experiment), never on injected
-    faults — a divergent output is reported, not raised, so callers
-    and CI can print the diff.
+    experiment, non-distributable experiment, fewer than one worker:
+    a chaos run spawns its own workers and never waits for external
+    ones), never on injected faults — a divergent output is reported,
+    not raised, so callers and CI can print the diff.
     """
     from ..dist import DistributedSubmit
     from ..reporting.experiments import DISTRIBUTABLE, run_experiment
@@ -159,6 +160,8 @@ def run_chaos(
             f"experiment {experiment!r} cannot run under chaos (not "
             f"distributable); choose from {', '.join(sorted(DISTRIBUTABLE))}"
         )
+    if workers < 1:
+        raise ReproError(f"chaos needs at least 1 worker, got {workers}")
 
     log(f"chaos: rendering fault-free serial reference for {experiment}")
     uninstall()

@@ -44,7 +44,6 @@ from ..chips.profile import HardwareProfile
 from ..errors import KernelTimeoutError
 from ..rng import BufferedRNG
 from .events import (
-    FENCE_DEVICE,
     OP_BARRIER,
     OP_FENCE,
     OP_ISSUE,
@@ -277,9 +276,6 @@ class Engine:
                                 # (or an already-drained store) costs
                                 # almost nothing.
                                 cost = 2
-                            if op[1] != FENCE_DEVICE:
-                                # Block-level fences are cheap.
-                                cost = cost // 4 + 1
                             state.clear()
                             # The fencing thread waits out the pipeline
                             # flush from the next tick on; other warps

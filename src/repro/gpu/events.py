@@ -11,7 +11,7 @@ Formats::
     (OP_STORE, addr, value)          -> acknowledged when buffered
     (OP_RMW,   addr, fn)             -> engine sends the old value;
                                         fn(old) returns the new value
-    (OP_FENCE, level)                -> level is "device" or "block"
+    (OP_FENCE, level)                -> level is "device"
     (OP_BARRIER,)                    -> block-wide barrier
     (OP_NOOP,)                       -> one cycle of compute
     (OP_ISSUE, addr)                 -> engine sends a DeferredLoad
@@ -36,7 +36,6 @@ OP_ISSUE = "issue"
 OP_POLL = "poll"
 
 FENCE_DEVICE = "device"
-FENCE_BLOCK = "block"
 
 #: Sentinel returned by the memory system when an operation cannot
 #: complete this tick and must be retried (buffer full, fence pending,

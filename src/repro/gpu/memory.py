@@ -374,12 +374,6 @@ class MemorySystem:
         else:
             del self._by_addr[key]
 
-    def _channel(self, addr: int) -> int:
-        shift = self._ch_shift
-        if shift is not None:
-            return (addr >> shift) & self._ch_mask
-        return self.profile.channel(addr)
-
     # ------------------------------------------------------------------
     # thread-facing operations
     # ------------------------------------------------------------------

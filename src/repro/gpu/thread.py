@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from .addresses import Buffer
 from .events import (
-    FENCE_BLOCK,
     FENCE_DEVICE,
     OP_BARRIER,
     OP_FENCE,
@@ -191,10 +190,6 @@ class ThreadContext:
     def fence_device(self):
         """``__threadfence()``: order prior accesses device-wide."""
         yield (OP_FENCE, FENCE_DEVICE)
-
-    def fence_block(self):
-        """``__threadfence_block()``: order prior accesses block-wide."""
-        yield (OP_FENCE, FENCE_BLOCK)
 
     def syncthreads(self):
         """``__syncthreads()``: block barrier with memory consistency."""

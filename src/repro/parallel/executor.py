@@ -18,6 +18,11 @@ from dataclasses import dataclass
 
 from ..errors import ReproError, ResultHookError
 
+#: Target number of work batches per worker: more batches smooth load
+#: imbalance, fewer reduce dispatch overhead.  Chunking never affects
+#: results (the determinism contract), only wall-clock.
+CHUNKS_PER_JOB = 4
+
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -25,23 +30,14 @@ class ParallelConfig:
 
     * ``jobs`` — worker processes; ``1`` means serial in-process
       execution (the default everywhere), ``0`` means one per CPU.
-    * ``chunks_per_job`` — target number of work batches per worker;
-      more batches smooth load imbalance, fewer reduce dispatch
-      overhead.  Chunking never affects results (the determinism
-      contract), only wall-clock.
     """
 
     jobs: int = 1
-    chunks_per_job: int = 4
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
             raise ReproError(
                 f"jobs must be >= 0 (0 = one per CPU), got {self.jobs}"
-            )
-        if self.chunks_per_job < 1:
-            raise ReproError(
-                f"chunks_per_job must be >= 1, got {self.chunks_per_job}"
             )
 
     def resolve_jobs(self) -> int:
@@ -97,7 +93,7 @@ def shard_ranges(
     """Split ``range(n)`` into contiguous ``(start, stop)`` shards.
 
     Serial configurations get a single shard.  Parallel configurations
-    get about ``chunks_per_job`` shards per worker (never more than
+    get about :data:`CHUNKS_PER_JOB` shards per worker (never more than
     ``n``), sized within one item of each other.  Shard boundaries are a
     pure function of ``(n, config)`` but, by the determinism contract,
     results must not depend on them anyway.
@@ -108,7 +104,7 @@ def shard_ranges(
         return []
     if config.serial:
         return [(0, n)]
-    n_shards = min(n, config.resolve_jobs() * config.chunks_per_job)
+    n_shards = min(n, config.resolve_jobs() * CHUNKS_PER_JOB)
     base, extra = divmod(n, n_shards)
     ranges = []
     start = 0
@@ -217,9 +213,7 @@ def parallel_map(
             out.append(result)
         return out
     workers = min(config.resolve_jobs(), len(work))
-    chunksize = max(
-        1, len(work) // (workers * config.chunks_per_job)
-    )
+    chunksize = max(1, len(work) // (workers * CHUNKS_PER_JOB))
     if pool is not None:
         return _pooled_map(fn, work, chunksize, on_result, pool)
     with ProcessPoolExecutor(max_workers=workers) as own_pool:

@@ -8,8 +8,8 @@ so every artefact of the paper is regenerable from one entry point:
 >>> from repro.reporting.experiments import run_experiment
 >>> print(run_experiment("table1"))              # doctest: +SKIP
 
-Every experiment accepts a :class:`~repro.store.RunLedger` (CLI:
-``--out DIR`` / ``--resume DIR``).  Results stream into the ledger as
+Every experiment that simulates accepts a :class:`~repro.store.RunLedger`
+(CLI: ``--out DIR`` / ``--resume DIR``).  Results stream into the ledger as
 they complete, already-ledgered keys are decoded instead of re-run, and
 a ledger holding every key of an experiment regenerates the table or
 figure with **zero** simulation runs — the paper's own workflow of
@@ -18,6 +18,7 @@ deriving tables from archived campaign logs.
 
 from __future__ import annotations
 
+import inspect
 import os
 
 from ..apps.registry import all_applications, table4_rows
@@ -45,12 +46,7 @@ from .figures import render_bars, render_series
 from .tables import render_table
 
 
-def table1(
-    scale: Scale = DEFAULT,
-    seed: int = 0,
-    parallel: ParallelConfig | None = None,
-    ledger: RunLedger | None = None,
-) -> str:
+def table1() -> str:
     """Table 1: the seven studied GPUs."""
     return render_table(
         table1_rows(), title="Table 1: the seven Nvidia GPUs we study"
@@ -184,12 +180,7 @@ def figure4(
     return "\n".join(out)
 
 
-def table4(
-    scale: Scale = DEFAULT,
-    seed: int = 0,
-    parallel: ParallelConfig | None = None,
-    ledger: RunLedger | None = None,
-) -> str:
+def table4() -> str:
     """Table 4: the application case studies."""
     return render_table(
         table4_rows(), title="Table 4: the case studies we consider"
@@ -266,13 +257,14 @@ def figure5(
     scale: Scale = DEFAULT,
     seed: int = 0,
     chips: tuple[str, ...] | None = None,
-    parallel: ParallelConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> str:
-    # Cost measurement (Sec. 6) repeats runs until enough *passing*
-    # executions accumulate, a sequentially dependent loop; it stays
-    # serial and accepts ``parallel`` only for interface uniformity.
-    """Figure 5: fence cost scatter data and overhead summary."""
+    """Figure 5: fence cost scatter data and overhead summary.
+
+    Cost measurement (Sec. 6) repeats runs until enough *passing*
+    executions accumulate, a sequentially dependent loop, so it takes
+    no ``parallel`` configuration and runs serially.
+    """
     chip_objs = [
         get_chip(c)
         for c in (chips or tuple(c.short_name for c in all_chips()))
@@ -419,11 +411,31 @@ EXPERIMENTS = {
     "fig5": figure5,
 }
 
-#: Experiments whose work fans out as location-independent units and so
-#: can be served to distributed workers (``--dist`` / ``submit``).  The
-#: rest are either pure table renders (table1, table4) or sequentially
-#: dependent loops (table6 insertion, fig5 cost measurement).
-DISTRIBUTABLE = {"survey", "fig3", "table2", "table3", "fig4", "table5"}
+
+def experiment_params(name: str) -> frozenset[str]:
+    """The keyword parameters experiment ``name`` declares.
+
+    They say what the experiment accepts, so no list elsewhere has to:
+    the run arguments it uses (``scale``, ``seed``, ``parallel``,
+    ``ledger``, ``submit``) and the filters it takes (``chip`` or
+    ``chips``, ``environments``, ``tests``, ``backend``, ``apps``).
+    """
+    try:
+        fn = EXPERIMENTS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
+        ) from None
+    return frozenset(inspect.signature(fn).parameters)
+
+
+#: Experiments that take a ``submit`` backend: their work fans out as
+#: location-independent units and so can be served to distributed
+#: workers (``--dist`` / ``coordinate``).  The rest are static renders
+#: or sequentially dependent loops (fence insertion, cost measurement).
+DISTRIBUTABLE = {
+    name for name in EXPERIMENTS if "submit" in experiment_params(name)
+}
 
 
 def open_ledger(
@@ -456,13 +468,15 @@ def run_experiment(
     jobs: int | None = None,
     out: str | None = None,
     resume: str | None = None,
-    dist: int | None = None,
-    units_per_lease: int | None = None,
-    lease_target_s: float | None = None,
     submit=None,
     **kwargs,
 ) -> str:
     """Regenerate one paper artefact by id (see ``EXPERIMENTS``).
+
+    ``kwargs`` are the experiment's own filters.  The run arguments
+    below reach only an experiment that declares them (see
+    :func:`experiment_params`), so a static render such as ``table1``
+    accepts and ignores them.
 
     ``jobs`` shards the experiment's run loops over worker processes
     (``0`` = one per CPU); the regenerated artefact is identical at any
@@ -474,52 +488,29 @@ def run_experiment(
     artefact without a single simulation run — interrupted campaigns
     resume bit-identically.
 
-    ``dist`` serves the experiment's work units to that many local
-    worker subprocesses through the lease coordinator (see
-    :mod:`repro.dist`); ``submit`` injects a fully configured submit
-    backend instead (e.g. a :class:`~repro.dist.DistributedSubmit`
-    awaiting remote workers).  Only ``DISTRIBUTABLE`` experiments
-    accept either; the artefact is byte-identical to a local run.
-    ``None`` defers to the scale's ``dist_workers`` knob.
-
-    ``units_per_lease`` fixes the distributed lease batch size (None,
-    the default, uses the coordinator's adaptive controller);
-    ``lease_target_s`` sets the compute duration one adaptive lease
-    aims for.  Both apply only to the ``dist`` path — an injected
-    ``submit`` backend carries its own configuration.
+    ``submit`` serves the experiment's work units through another
+    backend, such as ``DistributedSubmit(workers=2)`` (see
+    :mod:`repro.dist`), which spawns two local socket workers, or one
+    that awaits remote workers.  Only ``DISTRIBUTABLE`` experiments
+    take it; the artefact is byte-identical to a local run.
     """
     if isinstance(scale, str):
         scale = get_scale(scale)
-    try:
-        fn = EXPERIMENTS[name]
-    except KeyError:
+    params = experiment_params(name)
+    if submit is not None and "submit" not in params:
         raise ValueError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    parallel = resolve_config(
-        ParallelConfig(jobs=jobs) if jobs is not None else None, scale
-    )
-    workers = dist if dist is not None else scale.dist_workers
-    if submit is None and workers:
-        from ..dist import DEFAULT_TARGET_LEASE_S, DistributedSubmit
-
-        submit = DistributedSubmit(
-            workers=workers,
-            units_per_lease=units_per_lease,
-            lease_target_s=(
-                lease_target_s
-                if lease_target_s is not None
-                else DEFAULT_TARGET_LEASE_S
-            ),
+            f"experiment {name!r} cannot run distributed; "
+            f"distributable: {', '.join(sorted(DISTRIBUTABLE))}"
         )
-    if submit is not None:
-        if name not in DISTRIBUTABLE:
-            raise ValueError(
-                f"experiment {name!r} cannot run distributed; "
-                f"distributable: {', '.join(sorted(DISTRIBUTABLE))}"
-            )
-        kwargs["submit"] = submit
-    ledger = open_ledger(out, resume)
-    return fn(
-        scale=scale, seed=seed, parallel=parallel, ledger=ledger, **kwargs
+    run_args = {
+        "scale": scale,
+        "seed": seed,
+        "parallel": resolve_config(
+            ParallelConfig(jobs=jobs) if jobs is not None else None, scale
+        ),
+        "ledger": open_ledger(out, resume),
+        "submit": submit,
+    }
+    return EXPERIMENTS[name](
+        **{k: v for k, v in run_args.items() if k in params}, **kwargs
     )

@@ -37,10 +37,9 @@ class Scale:
     * ``jobs`` — worker processes for the parallel subsystem
       (:mod:`repro.parallel`); ``1`` = serial, ``0`` = one per CPU.
       Results are identical at any job count; only wall-clock changes.
-    * ``dist_workers`` — local worker subprocesses served through the
-      distributed coordinator (:mod:`repro.dist`); ``0`` (the default)
-      keeps execution in the local pool.  As with ``jobs``, results
-      are identical at any worker count.
+      Distributed execution is chosen per run instead, by the
+      ``submit`` backend passed to
+      :func:`~repro.reporting.experiments.run_experiment`.
     * ``litmus_backend`` — which litmus runner the survey-style
       experiments use (``direct``, ``engine`` or ``vector``).  The
       vector backend trades draw-identical scalar semantics for
@@ -67,7 +66,6 @@ class Scale:
     spread_executions: int = 48
     jobs: int = 1
     litmus_backend: str = "direct"
-    dist_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.litmus_backend not in ("direct", "engine", "vector"):
@@ -75,22 +73,10 @@ class Scale:
                 f"unknown litmus backend {self.litmus_backend!r}; "
                 "choose from direct, engine, vector"
             )
-        if self.dist_workers < 0:
-            raise ReproError(
-                f"dist_workers must be >= 0, got {self.dist_workers}"
-            )
 
     def with_jobs(self, jobs: int) -> "Scale":
         """Copy of this preset with a different worker count."""
         return dataclasses.replace(self, jobs=jobs)
-
-    def with_backend(self, backend: str) -> "Scale":
-        """Copy of this preset with a different litmus backend."""
-        return dataclasses.replace(self, litmus_backend=backend)
-
-    def with_dist(self, workers: int) -> "Scale":
-        """Copy of this preset with a distributed worker count."""
-        return dataclasses.replace(self, dist_workers=workers)
 
 
 SMOKE = Scale(

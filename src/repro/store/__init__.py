@@ -40,7 +40,6 @@ from .resume import (
     campaign_cells,
     cost_measurements,
     insertion_results,
-    ledgered_map,
     litmus_grid_counts,
     litmus_results,
     missing_ranges,
@@ -64,7 +63,6 @@ __all__ = [
     "insertion_key",
     "cost_key",
     "decode",
-    "ledgered_map",
     "submit_units",
     "litmus_grid_counts",
     "missing_ranges",

@@ -1,12 +1,13 @@
 """Resume helpers: read-through caching over ledgered work lists.
 
 The experiment layers all share one shape: a list of independent work
-items, each with a deterministic content key, fanned out with
-:func:`repro.parallel.parallel_map`.  :func:`ledgered_map` overlays a
-:class:`~repro.store.ledger.RunLedger` on that shape — already-ledgered
-keys are decoded instead of re-run, missing keys run and checkpoint as
-their results stream in — which, by the global-index seeding contract,
-reproduces a cold run bit for bit.
+units, each with a deterministic content key, served by a submit
+backend (the local pool or the distributed coordinator).
+:func:`submit_units` overlays a :class:`~repro.store.ledger.RunLedger`
+on that shape — already-ledgered keys are decoded instead of re-run,
+missing keys run and checkpoint as their records stream in — which, by
+the global-index seeding contract, reproduces a cold run bit for bit.
+:func:`cached_or_run` does the same for one monolithic result.
 
 The domain query wrappers at the bottom turn a ledger back into domain
 objects for the reporting layer.
@@ -20,7 +21,6 @@ from ..errors import ReproError, ResultHookError
 from ..parallel import (
     ParallelConfig,
     WorkUnit,
-    parallel_map,
     run_units,
     shared_pool,
 )
@@ -130,52 +130,6 @@ def litmus_grid_counts(
         rec.decode_litmus(record).weak
         for record in submit_units(units, config, ledger, submit)
     ]
-
-
-def ledgered_map(
-    fn: Callable,
-    work: Sequence,
-    keys: Sequence[str],
-    config: ParallelConfig,
-    ledger: RunLedger | None,
-    encode: Callable[[str, object], rec.RunRecord],
-    decode: Callable[[rec.RunRecord], object],
-) -> list:
-    """``parallel_map`` with per-item ledger caching and checkpointing.
-
-    ``keys[i]`` is the content key of ``work[i]``.  Cached keys decode
-    from the ledger (zero simulation); the rest run through
-    ``parallel_map`` and each fresh result is written to the ledger the
-    moment it streams back — so a killed run loses at most the work in
-    flight, never completed items.  Without a ledger this is exactly
-    ``parallel_map(fn, work, config)``.
-    """
-    if len(work) != len(keys):
-        raise ValueError(
-            f"work/keys length mismatch: {len(work)} != {len(keys)}"
-        )
-    if ledger is None:
-        return parallel_map(fn, work, config)
-    results: list = [None] * len(work)
-    pending: list = []
-    pending_indices: list[int] = []
-    for i, key in enumerate(keys):
-        record = ledger.get(key)
-        if record is not None:
-            results[i] = decode(record)
-        else:
-            pending.append(work[i])
-            pending_indices.append(i)
-    if pending:
-        with ledger.writer() as checkpoint:
-
-            def on_result(j: int, value: object) -> None:
-                checkpoint.write(encode(keys[pending_indices[j]], value))
-
-            fresh = parallel_map(fn, pending, config, on_result=on_result)
-        for j, value in zip(pending_indices, fresh):
-            results[j] = value
-    return results
 
 
 def cached_or_run(

@@ -3,6 +3,61 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.reporting.experiments import DISTRIBUTABLE
+
+#: Every subcommand's namespace for a minimal valid argv, as the
+#: option table must reproduce it (``fn`` aside): one wrong default
+#: override would show here.
+DEFAULTS = {
+    ("experiment", "table5"): dict(
+        command="experiment", id="table5", chips=None, environments=None,
+        tests=None, backend=None, dist=None, units_per_lease=None,
+        lease_target_s=2.0, seed=0, scale="smoke", jobs=None, out=None,
+        resume=None,
+    ),
+    ("coordinate", "table5"): dict(
+        command="coordinate", id="table5", chips=None, environments=None,
+        tests=None, backend=None, host="127.0.0.1", port=0, dist=0,
+        lease_timeout=60.0, units_per_lease=None, lease_target_s=2.0,
+        worker_jobs=1, seed=0, scale="smoke", jobs=None, out=None,
+        resume=None,
+    ),
+    ("worker", "--connect", "h:1"): dict(
+        command="worker", connect="h:1", name="worker", max_units=None,
+        delay=0.0, connect_timeout=10.0, jobs=None, reconnect_timeout=30.0,
+        faults=None,
+    ),
+    ("chaos", "table5", "--plan", "p.json"): dict(
+        command="chaos", id="table5", plan="p.json", chips=None,
+        environments=None, tests=None, backend=None, seed=0, scale="smoke",
+        workers=2, out=None, lease_timeout=15.0, reconnect_timeout=30.0,
+        max_attempts=3,
+    ),
+    ("ledger", "verify", "d"): dict(command="ledger", action="verify", dir="d"),
+    ("chips",): dict(command="chips"),
+    ("apps",): dict(command="apps"),
+    ("tests",): dict(command="tests"),
+    ("axiom",): dict(command="axiom", test=None),
+    ("synth",): dict(
+        command="synth", threads=2, max_ops=2, locations=2, values=1,
+        no_rmw=False, no_fences=False, limit=None, chips=None,
+        executions=40, seed=7, no_survey=False, no_ir=False,
+    ),
+    ("litmus", "MP"): dict(
+        command="litmus", test="MP", chip="K20", distance=64,
+        executions=200, stress_at="", sequence="", randomise=False,
+        backend="direct", seed=0, scale="smoke", jobs=None, out=None,
+        resume=None,
+    ),
+    ("test-app", "cbe-dot"): dict(
+        command="test-app", app="cbe-dot", chip="K20", environment="sys-str+",
+        runs=40, seed=0, scale="smoke", jobs=None, out=None, resume=None,
+    ),
+    ("harden", "cbe-dot"): dict(
+        command="harden", app="cbe-dot", chip="Titan", seed=0, scale="smoke",
+        jobs=None, out=None, resume=None,
+    ),
+}
 
 
 class TestParser:
@@ -13,6 +68,62 @@ class TestParser:
     def test_experiment_validates_id(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "table9"])
+
+    @pytest.mark.parametrize("argv", list(DEFAULTS), ids=" ".join)
+    def test_subcommand_defaults(self, argv):
+        args = vars(build_parser().parse_args(list(argv)))
+        assert {key: args[key] for key in DEFAULTS[argv]} == DEFAULTS[argv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "table5", "--plan", "p.json", "--workers", "0"],
+            ["chaos", "table5", "--plan", "p.json", "--max-attempts", "0"],
+            ["chaos", "table5", "--plan", "p.json", "--lease-timeout", "inf"],
+            ["coordinate", "table5", "--lease-timeout", "nan"],
+            ["coordinate", "table5", "--lease-timeout", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_counts_and_durations_refused_by_the_parser(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    def test_distributable_read_off_the_signatures(self):
+        assert DISTRIBUTABLE == {
+            "survey", "fig3", "table2", "table3", "fig4", "table5",
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "litmus MP --stress-at a",
+        "litmus MP --distance -1",
+        "experiment survey --scale smoke --chips K20 --tests MP "
+        "--environments no-str-",
+        "experiment table1 --chips K20",
+        "experiment table3 --chips K20 Titan",
+    ],
+)
+def test_usage_errors_exit_2_without_traceback(argv, capsys):
+    # main is the one error boundary: what argparse cannot check still
+    # ends as a usage error, never a traceback or a silently dropped
+    # filter.
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gpu-wmm: error:")
+    assert "Traceback" not in captured.err
+
+
+def test_refused_filter_names_the_experiments_that_take_it(capsys):
+    assert main(["experiment", "survey", "--environments", "no-str-"]) == 2
+    assert capsys.readouterr().err == (
+        "gpu-wmm: error: --environments only applies to table5, "
+        "not survey\n"
+    )
 
 
 class TestCommands:

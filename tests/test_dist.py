@@ -35,7 +35,6 @@ from repro.errors import (
     DistError,
     LedgerConflictError,
     ProtocolError,
-    ReproError,
     WorkerExitError,
 )
 from repro.litmus.units import execute_litmus_unit, litmus_unit
@@ -189,9 +188,16 @@ class TestLeaseTable:
         assert table.complete(lease.lease_id) == ()
         assert not table.done
 
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # A NaN deadline never compares as passed, so such a lease
+        # would never expire and a hung worker would keep its units.
+        with pytest.raises(DistError, match="lease timeout"):
+            LeaseTable(n_units=2, timeout=timeout)
+
     def test_validation(self):
-        with pytest.raises(DistError):
-            LeaseTable(n_units=1, timeout=0.0)
         with pytest.raises(DistError):
             LeaseTable(n_units=1, units_per_lease=0)
 
@@ -579,12 +585,6 @@ class TestDistributedSubmit:
             run_experiment(
                 "table1", scale=TINY, submit=DistributedSubmit(workers=1)
             )
-
-    def test_scale_dist_knob(self):
-        assert SMOKE.dist_workers == 0
-        assert SMOKE.with_dist(2).dist_workers == 2
-        with pytest.raises(ReproError):
-            SMOKE.with_dist(-1)
 
 
 def test_chip_fixture_sanity(k20):

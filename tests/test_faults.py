@@ -914,6 +914,14 @@ class TestChaosHarness:
         with pytest.raises(ReproError, match="cannot run under chaos"):
             run_chaos("table1", _plan())
 
+    def test_rejects_fewer_than_one_worker(self):
+        # A chaos run spawns its own workers and has no external-worker
+        # mode: with none it would wait forever after the reference.
+        logs: list[str] = []
+        with pytest.raises(ReproError, match="at least 1 worker"):
+            run_chaos("table5", _plan(), workers=0, log=logs.append)
+        assert logs == []  # refused before the serial reference render
+
     def test_chaos_campaign_byte_identical_end_to_end(self, tmp_path):
         """The tentpole acceptance: a table5 campaign under a plan that
         poisons one unit, restarts the coordinator mid-run and corrupts

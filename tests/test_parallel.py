@@ -55,10 +55,6 @@ class TestParallelConfig:
         with pytest.raises(ReproError):
             ParallelConfig(jobs=-1)
 
-    def test_bad_chunks_rejected(self):
-        with pytest.raises(ReproError):
-            ParallelConfig(jobs=2, chunks_per_job=0)
-
     def test_resolve_config_prefers_explicit(self):
         scale = dataclasses.replace(SMOKE, jobs=8)
         assert resolve_config(JOBS4, scale) is JOBS4
