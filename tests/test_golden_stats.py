@@ -22,9 +22,11 @@ Litmus path, three layers of increasing sensitivity:
 Application (SIMT engine) path:
 
 * per-run fingerprints — (erroneous, ticks, fences, swaps, bypasses)
-  for every run of four (app, chip, env) cells, captured from the
-  pre-batch engine (every engine tick consumes the scheduler stream, so
-  the tick count alone pins the entire pick/draw history);
+  for every run of four (app, chip, env) cells captured from the
+  pre-batch engine, and of every registered application on K20 sys-str
+  both as shipped and with every fence site on (every engine tick
+  consumes the scheduler stream, so the tick count alone pins the
+  entire pick/draw history);
 * batch-vs-single parity: ``ApplicationBatch``/``run_application_batch``
   must equal standalone ``run_application`` results exactly;
 * a campaign cell serially and at ``jobs=N``, against pinned counts.
@@ -178,32 +180,146 @@ def test_any_span_partition_matches_golden_count():
 
 #: Per-run (erroneous, ticks, n_fences, n_swaps, n_bypasses) for runs
 #: ``i in range(12)`` at seed ``derive_seed(7, "app-golden", app, chip,
-#: env, i)``, captured from the pre-batch engine (the seed commit of
-#: this table).  Keyed by (app, chip, env, randomise).
+#: env, i)``.  Keyed by (app, chip, env, randomise, fences), where
+#: ``fences`` is "shipped" (the application's ``base_fences``) or
+#: "all-sites" (a fence after every access, ``frozenset(app.sites())``,
+#: the starting point of fence insertion).  The first four rows were
+#: captured from the pre-batch engine; the K20 sys-str rows, which pin
+#: every registered application under both fence sets, were captured
+#: while kernels reached memory through ``yield from`` helper
+#: generators.
 GOLDEN_APP_FINGERPRINTS = {
-    ("cbe-dot", "K20", "sys-str", True): (
+    ("cbe-dot", "K20", "sys-str", True, "shipped"): (
         (0, 286, 0, 0, 0), (0, 330, 0, 0, 1), (0, 379, 0, 0, 0),
         (0, 287, 0, 0, 0), (1, 410, 0, 0, 1), (0, 429, 0, 0, 0),
         (0, 364, 0, 0, 0), (0, 334, 0, 0, 0), (0, 372, 0, 0, 0),
         (0, 288, 0, 0, 0), (0, 417, 0, 0, 0), (0, 286, 0, 0, 0),
     ),
-    ("sdk-red-nf", "Titan", "sys-str", True): (
+    ("sdk-red-nf", "Titan", "sys-str", True, "shipped"): (
         (0, 90, 0, 0, 0), (0, 104, 0, 0, 0), (0, 82, 0, 0, 0),
         (0, 100, 0, 0, 0), (0, 94, 0, 0, 0), (0, 83, 0, 0, 0),
         (0, 103, 0, 0, 0), (0, 95, 0, 0, 0), (0, 84, 0, 0, 0),
         (0, 85, 0, 0, 0), (0, 99, 0, 0, 0), (0, 122, 0, 0, 0),
     ),
-    ("tpo-tm", "980", "no-str", False): (
+    ("tpo-tm", "980", "no-str", False, "shipped"): (
         (0, 758, 0, 0, 0), (0, 834, 0, 0, 0), (0, 656, 0, 0, 0),
         (0, 812, 0, 0, 0), (0, 834, 0, 0, 0), (0, 672, 0, 0, 0),
         (0, 767, 0, 0, 0), (0, 816, 0, 0, 0), (0, 763, 0, 0, 0),
         (0, 824, 0, 0, 0), (0, 713, 0, 0, 0), (0, 882, 0, 0, 0),
     ),
-    ("ls-bh", "K20", "sys-str", True): (
+    ("ls-bh", "K20", "sys-str", True, "shipped"): (
         (0, 594, 44, 0, 2), (0, 721, 52, 0, 8), (1, 709, 60, 0, 3),
         (0, 789, 52, 0, 3), (0, 749, 44, 0, 3), (0, 686, 52, 0, 5),
         (0, 681, 44, 0, 2), (0, 762, 60, 0, 1), (0, 708, 52, 0, 1),
         (0, 958, 44, 0, 1), (1, 908, 44, 0, 1), (0, 776, 44, 0, 6),
+    ),
+    ("cbe-ht", "K20", "sys-str", True, "shipped"): (
+        (1, 281, 0, 7, 1), (1, 273, 0, 8, 2), (0, 240, 0, 17, 7),
+        (0, 372, 0, 12, 5), (1, 423, 0, 24, 4), (1, 746, 0, 33, 16),
+        (1, 444, 0, 27, 4), (1, 363, 0, 26, 12), (0, 732, 0, 34, 0),
+        (1, 358, 0, 13, 9), (1, 195, 0, 10, 7), (1, 414, 0, 29, 9),
+    ),
+    ("cbe-ht", "K20", "sys-str", True, "all-sites"): (
+        (0, 517, 384, 0, 0), (0, 353, 384, 0, 0), (0, 680, 384, 0, 0),
+        (0, 543, 384, 0, 0), (0, 542, 384, 0, 0), (0, 651, 384, 0, 0),
+        (0, 436, 384, 0, 0), (0, 484, 384, 0, 0), (0, 558, 384, 0, 0),
+        (0, 534, 384, 0, 0), (0, 651, 384, 0, 0), (0, 765, 384, 0, 0),
+    ),
+    ("cbe-dot", "K20", "sys-str", True, "all-sites"): (
+        (0, 483, 3096, 0, 0), (0, 542, 3096, 0, 0), (0, 515, 3096, 0, 0),
+        (0, 514, 3096, 0, 0), (0, 530, 3096, 0, 0), (0, 428, 3096, 0, 0),
+        (0, 587, 3096, 0, 0), (0, 455, 3096, 0, 0), (0, 433, 3096, 0, 0),
+        (0, 503, 3096, 0, 0), (0, 471, 3096, 0, 0), (0, 493, 3096, 0, 0),
+    ),
+    ("ct-octree", "K20", "sys-str", True, "shipped"): (
+        (1, 110, 0, 12, 2), (1, 306, 0, 60, 8), (0, 74, 0, 9, 1),
+        (1, 124, 0, 16, 3), (0, 56, 0, 4, 0), (0, 126, 0, 12, 2),
+        (0, 112, 0, 2, 3), (0, 87, 0, 11, 2), (0, 45, 0, 5, 2),
+        (0, 53, 0, 6, 2), (0, 323, 0, 48, 7), (1, 322, 0, 63, 8),
+    ),
+    ("ct-octree", "K20", "sys-str", True, "all-sites"): (
+        (0, 135, 192, 0, 0), (0, 143, 192, 0, 0), (0, 88, 192, 0, 0),
+        (0, 133, 192, 0, 0), (0, 102, 192, 0, 0), (0, 153, 192, 0, 0),
+        (0, 151, 192, 0, 0), (0, 117, 192, 0, 0), (0, 85, 192, 0, 0),
+        (0, 98, 192, 0, 0), (0, 116, 192, 1, 0), (0, 132, 192, 0, 0),
+    ),
+    ("tpo-tm", "K20", "sys-str", True, "shipped"): (
+        (1, 919, 0, 0, 2), (0, 777, 0, 0, 0), (0, 1289, 0, 0, 0),
+        (1, 1316, 0, 0, 6), (0, 1400, 0, 0, 0), (1, 1055, 0, 0, 5),
+        (1, 1123, 0, 0, 6), (0, 708, 0, 0, 0), (0, 1287, 0, 0, 1),
+        (0, 1073, 0, 0, 0), (0, 976, 0, 0, 0), (0, 1102, 0, 0, 0),
+    ),
+    ("tpo-tm", "K20", "sys-str", True, "all-sites"): (
+        (0, 1711, 242, 0, 0), (0, 1852, 216, 0, 0), (0, 1723, 222, 0, 0),
+        (0, 1716, 226, 0, 0), (0, 2031, 220, 0, 0), (0, 1563, 216, 0, 0),
+        (0, 1936, 226, 0, 0), (0, 1288, 218, 0, 0), (0, 2012, 214, 0, 0),
+        (0, 2123, 230, 0, 0), (0, 2208, 218, 0, 0), (0, 1370, 232, 0, 0),
+    ),
+    ("sdk-red", "K20", "sys-str", True, "shipped"): (
+        (0, 127, 8, 0, 0), (0, 127, 8, 0, 0), (0, 155, 8, 0, 0),
+        (0, 191, 8, 0, 0), (0, 146, 8, 0, 0), (0, 122, 8, 0, 0),
+        (0, 121, 8, 0, 0), (0, 150, 8, 0, 0), (0, 172, 8, 0, 0),
+        (0, 143, 8, 0, 0), (0, 140, 8, 0, 0), (0, 164, 8, 0, 0),
+    ),
+    ("sdk-red", "K20", "sys-str", True, "all-sites"): (
+        (0, 221, 1041, 0, 0), (0, 190, 1041, 0, 0), (0, 215, 1041, 0, 0),
+        (0, 245, 1041, 0, 0), (0, 197, 1041, 0, 0), (0, 181, 1041, 0, 0),
+        (0, 182, 1041, 0, 0), (0, 213, 1041, 0, 0), (0, 234, 1041, 0, 0),
+        (0, 199, 1041, 0, 0), (0, 190, 1041, 0, 0), (0, 233, 1041, 0, 0),
+    ),
+    ("sdk-red-nf", "K20", "sys-str", True, "shipped"): (
+        (0, 81, 0, 0, 0), (0, 122, 0, 0, 0), (0, 117, 0, 0, 2),
+        (0, 82, 0, 0, 0), (0, 78, 0, 0, 0), (0, 97, 0, 0, 0),
+        (0, 102, 0, 0, 0), (0, 133, 0, 0, 0), (0, 83, 0, 0, 0),
+        (0, 88, 0, 0, 0), (0, 112, 0, 0, 1), (0, 86, 0, 0, 0),
+    ),
+    ("sdk-red-nf", "K20", "sys-str", True, "all-sites"): (
+        (0, 166, 1041, 0, 0), (0, 207, 1041, 0, 0), (0, 194, 1041, 0, 0),
+        (0, 159, 1041, 0, 0), (0, 181, 1041, 0, 0), (0, 189, 1041, 0, 0),
+        (0, 187, 1041, 0, 0), (0, 237, 1041, 0, 0), (0, 166, 1041, 0, 0),
+        (0, 173, 1041, 0, 0), (0, 212, 1041, 0, 0), (0, 185, 1041, 0, 0),
+    ),
+    ("cub-scan", "K20", "sys-str", True, "shipped"): (
+        (0, 317, 24, 0, 0), (0, 464, 24, 0, 0), (0, 485, 24, 1, 0),
+        (0, 515, 24, 3, 0), (0, 322, 24, 0, 0), (0, 427, 24, 3, 0),
+        (0, 454, 24, 0, 0), (0, 384, 24, 0, 0), (0, 385, 24, 5, 0),
+        (0, 345, 24, 0, 0), (0, 382, 24, 0, 0), (0, 588, 24, 0, 0),
+    ),
+    ("cub-scan", "K20", "sys-str", True, "all-sites"): (
+        (0, 486, 1286, 0, 0), (0, 688, 1356, 0, 0), (0, 581, 1293, 0, 0),
+        (0, 709, 1384, 0, 0), (0, 598, 1305, 0, 0), (0, 620, 1341, 0, 0),
+        (0, 619, 1365, 0, 0), (0, 637, 1340, 0, 0), (0, 646, 1348, 0, 0),
+        (0, 482, 1278, 0, 0), (0, 523, 1336, 0, 0), (0, 642, 1370, 0, 0),
+    ),
+    ("cub-scan-nf", "K20", "sys-str", True, "shipped"): (
+        (0, 311, 0, 0, 0), (1, 388, 0, 7, 0), (0, 328, 0, 4, 0),
+        (0, 491, 0, 2, 0), (0, 340, 0, 3, 0), (1, 322, 0, 6, 0),
+        (0, 399, 0, 4, 0), (0, 290, 0, 1, 0), (1, 322, 0, 8, 0),
+        (0, 356, 0, 7, 0), (1, 381, 0, 6, 0), (1, 259, 0, 5, 0),
+    ),
+    ("cub-scan-nf", "K20", "sys-str", True, "all-sites"): (
+        (0, 692, 1340, 0, 0), (0, 716, 1376, 0, 0), (0, 615, 1374, 0, 0),
+        (0, 603, 1338, 0, 0), (0, 585, 1326, 0, 0), (0, 542, 1325, 0, 0),
+        (0, 877, 1465, 0, 0), (0, 659, 1356, 0, 0), (0, 709, 1330, 0, 0),
+        (0, 651, 1362, 0, 0), (0, 559, 1347, 0, 0), (0, 778, 1433, 0, 0),
+    ),
+    ("ls-bh", "K20", "sys-str", True, "all-sites"): (
+        (0, 681, 364, 0, 0), (0, 859, 372, 0, 0), (0, 793, 380, 0, 0),
+        (0, 669, 372, 0, 0), (0, 1020, 364, 0, 0), (0, 747, 372, 0, 0),
+        (0, 698, 364, 0, 0), (0, 752, 380, 0, 0), (0, 1121, 372, 0, 0),
+        (0, 899, 364, 0, 0), (0, 985, 364, 0, 0), (0, 791, 364, 0, 0),
+    ),
+    ("ls-bh-nf", "K20", "sys-str", True, "shipped"): (
+        (0, 733, 0, 7, 7), (1, 1090, 0, 0, 17), (1, 728, 0, 3, 5),
+        (1, 589, 0, 6, 6), (0, 497, 0, 0, 3), (1, 875, 0, 0, 17),
+        (0, 490, 0, 0, 4), (0, 634, 0, 0, 1), (1, 620, 0, 0, 9),
+        (0, 372, 0, 0, 1), (1, 561, 0, 12, 14), (0, 434, 0, 1, 5),
+    ),
+    ("ls-bh-nf", "K20", "sys-str", True, "all-sites"): (
+        (0, 753, 372, 0, 0), (0, 763, 380, 0, 0), (0, 1009, 383, 0, 0),
+        (0, 1078, 364, 0, 0), (0, 892, 372, 0, 0), (0, 696, 372, 0, 0),
+        (0, 957, 380, 0, 0), (0, 910, 372, 0, 0), (0, 1069, 372, 0, 0),
+        (0, 827, 364, 0, 0), (0, 1002, 378, 0, 0), (0, 939, 372, 0, 0),
     ),
 }
 
@@ -236,15 +352,29 @@ def _golden_seeds(app_name, chip_name, env):
     ]
 
 
-@pytest.mark.parametrize(
-    "app_name,chip_name,env,randomise",
+def _golden_fences(app, fences):
+    return app.base_fences if fences == "shipped" else frozenset(app.sites())
+
+
+def _golden_row_id(key):
+    # Shipped-fence rows keep the (app, chip, env, randomise) ids they
+    # had before the fence-set column existed.
+    *cell, fences = key
+    return "-".join(map(str, cell if fences == "shipped" else key))
+
+
+_GOLDEN_APP_ROWS = pytest.mark.parametrize(
+    "app_name,chip_name,env,randomise,fences",
     sorted(GOLDEN_APP_FINGERPRINTS),
-    ids=lambda v: str(v),
+    ids=[_golden_row_id(key) for key in sorted(GOLDEN_APP_FINGERPRINTS)],
 )
+
+
+@_GOLDEN_APP_ROWS
 def test_app_fingerprints_match_pre_batch_engine(
-    app_name, chip_name, env, randomise
+    app_name, chip_name, env, randomise, fences
 ):
-    """Single runs reproduce the pre-overhaul engine bit for bit.
+    """Single runs reproduce the pinned engine bit for bit.
 
     Every engine tick consumes the scheduler's stream, so an identical
     tick count at a fixed seed pins the entire pick/draw history; the
@@ -253,23 +383,28 @@ def test_app_fingerprints_match_pre_batch_engine(
     app = get_application(app_name)
     chip = get_chip(chip_name)
     spec = _app_spec(chip_name, env)
+    fence_sites = _golden_fences(app, fences)
     got = tuple(
         _app_fingerprint(
             run_application(
-                app, chip, stress_spec=spec, randomise=randomise, seed=seed
+                app,
+                chip,
+                stress_spec=spec,
+                randomise=randomise,
+                seed=seed,
+                fence_sites=fence_sites,
             )
         )
         for seed in _golden_seeds(app_name, chip_name, env)
     )
-    assert got == GOLDEN_APP_FINGERPRINTS[(app_name, chip_name, env, randomise)]
+    key = (app_name, chip_name, env, randomise, fences)
+    assert got == GOLDEN_APP_FINGERPRINTS[key]
 
 
-@pytest.mark.parametrize(
-    "app_name,chip_name,env,randomise",
-    sorted(GOLDEN_APP_FINGERPRINTS),
-    ids=lambda v: str(v),
-)
-def test_batch_runs_equal_single_runs(app_name, chip_name, env, randomise):
+@_GOLDEN_APP_ROWS
+def test_batch_runs_equal_single_runs(
+    app_name, chip_name, env, randomise, fences
+):
     """run_application_batch == [run_application(seed) ...], exactly.
 
     AppRun and ExecutionResult are frozen dataclasses, so ``==`` compares
@@ -278,15 +413,28 @@ def test_batch_runs_equal_single_runs(app_name, chip_name, env, randomise):
     app = get_application(app_name)
     chip = get_chip(chip_name)
     spec = _app_spec(chip_name, env)
+    fence_sites = _golden_fences(app, fences)
     seeds = _golden_seeds(app_name, chip_name, env)
-    golden = GOLDEN_APP_FINGERPRINTS[(app_name, chip_name, env, randomise)]
+    golden = GOLDEN_APP_FINGERPRINTS[
+        (app_name, chip_name, env, randomise, fences)
+    ]
     batched = run_application_batch(
-        app, chip, seeds, stress_spec=spec, randomise=randomise
+        app,
+        chip,
+        seeds,
+        stress_spec=spec,
+        randomise=randomise,
+        fence_sites=fence_sites,
     )
     assert tuple(_app_fingerprint(r) for r in batched) == golden
     singles = [
         run_application(
-            app, chip, stress_spec=spec, randomise=randomise, seed=seed
+            app,
+            chip,
+            stress_spec=spec,
+            randomise=randomise,
+            seed=seed,
+            fence_sites=fence_sites,
         )
         for seed in seeds
     ]
