@@ -44,18 +44,18 @@ def dot_kernel(ctx: ThreadContext, a, b, c, mutex, blocksum, n):
     tid = ctx.global_tid()
     temp = 0
     while tid < n:
-        av = yield from ctx.load(a, tid, site=SITE_LOAD_A)
-        bv = yield from ctx.load(b, tid, site=SITE_LOAD_B)
+        av = yield ctx.load(a, tid, site=SITE_LOAD_A)
+        bv = yield ctx.load(b, tid, site=SITE_LOAD_B)
         temp += av * bv
         tid += ctx.n_threads
     # Block-local reduction (shared memory in the original).
-    yield from ctx.atomic_add(blocksum, ctx.block_id, temp)
-    yield from ctx.syncthreads()
+    yield ctx.atomic_add(blocksum, ctx.block_id, temp)
+    yield ctx.syncthreads()
     if ctx.tid == 0:
-        partial = yield from ctx.load(blocksum, ctx.block_id)
+        partial = yield ctx.load(blocksum, ctx.block_id)
         yield from lock(ctx, mutex)
-        current = yield from ctx.load(c, 0, site=SITE_LOAD_C)
-        yield from ctx.store(c, 0, current + partial, site=SITE_STORE_C)
+        current = yield ctx.load(c, 0, site=SITE_LOAD_C)
+        yield ctx.store(c, 0, current + partial, site=SITE_STORE_C)
         yield from unlock(ctx, mutex)
 
 

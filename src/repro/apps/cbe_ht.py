@@ -43,12 +43,12 @@ def hashtable_kernel(ctx: ThreadContext, keys, nxt, buckets, mutexes,
         return
     key = gtid
     bucket = key % N_BUCKETS
-    entry = yield from ctx.atomic_add(alloc, 0, 1)
-    yield from ctx.store(keys, entry, key, site=SITE_STORE_KEY)
+    entry = yield ctx.atomic_add(alloc, 0, 1)
+    yield ctx.store(keys, entry, key, site=SITE_STORE_KEY)
     yield from lock(ctx, mutexes, bucket)
-    head = yield from ctx.load(buckets, bucket, site=SITE_LOAD_HEAD)
-    yield from ctx.store(nxt, entry, head, site=SITE_STORE_NEXT)
-    yield from ctx.store(buckets, bucket, entry + 1, site=SITE_STORE_HEAD)
+    head = yield ctx.load(buckets, bucket, site=SITE_LOAD_HEAD)
+    yield ctx.store(nxt, entry, head, site=SITE_STORE_NEXT)
+    yield ctx.store(buckets, bucket, entry + 1, site=SITE_STORE_HEAD)
     yield from unlock(ctx, mutexes, bucket)
 
 

@@ -59,7 +59,7 @@ def octree_kernel(ctx: ThreadContext, px, py, q_items, q_flags, q_tail,
         while True:
             tails = []
             for quad in range(N_OCTANTS):
-                t = yield from ctx.load(q_tail, quad)
+                t = yield ctx.load(q_tail, quad)
                 tails.append(min(t, n))
             pending = False
             for quad in range(N_OCTANTS):
@@ -67,14 +67,14 @@ def octree_kernel(ctx: ThreadContext, px, py, q_items, q_flags, q_tail,
                     j = quad * n + slot
                     if j in consumed:
                         continue
-                    ready = yield from ctx.load(q_flags, j)
+                    ready = yield ctx.load(q_flags, j)
                     if ready != 1:
                         pending = True
                         continue
-                    item = yield from ctx.load(
+                    item = yield ctx.load(
                         q_items, j, site=SITE_LOAD_ITEM
                     )
-                    yield from ctx.store(
+                    yield ctx.store(
                         octree, j, item, site=SITE_STORE_NODE
                     )
                     consumed.add(j)
@@ -85,16 +85,16 @@ def octree_kernel(ctx: ThreadContext, px, py, q_items, q_flags, q_tail,
     tid = ctx.global_tid()
     p = tid
     while p < n:
-        x = yield from ctx.load(px, p)
-        y = yield from ctx.load(py, p)
+        x = yield ctx.load(px, p)
+        y = yield ctx.load(py, p)
         quad = _octant(x, y)
-        slot = yield from ctx.atomic_add(q_tail, quad, 1)
-        yield from ctx.store(
+        slot = yield ctx.atomic_add(q_tail, quad, 1)
+        yield ctx.store(
             q_items, quad * n + slot, p + 1, site=SITE_STORE_ITEM
         )
         # Publish the slot (atomics are not fences: this can overtake
         # the item store above).
-        yield from ctx.atomic_exch(q_flags, quad * n + slot, 1)
+        yield ctx.atomic_exch(q_flags, quad * n + slot, 1)
         p += worker_threads
 
 

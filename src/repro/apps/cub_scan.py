@@ -48,17 +48,17 @@ def scan_kernel(ctx: ThreadContext, data, agg, flag_a, prefix, flag_p,
     tid = ctx.global_tid()
     acc = 0
     while tid < n:
-        v = yield from ctx.load(data, tid, site=SITE_LOAD_IN)
+        v = yield ctx.load(data, tid, site=SITE_LOAD_IN)
         acc += v
         tid += ctx.n_threads
-    yield from ctx.atomic_add(blocksum, ctx.block_id, acc)
-    yield from ctx.syncthreads()
+    yield ctx.atomic_add(blocksum, ctx.block_id, acc)
+    yield ctx.syncthreads()
     b = ctx.block_id
     if ctx.tid == 0:
         # Handshake 1: thread 0 publishes the block aggregate.
-        local = yield from ctx.load(blocksum, b)
-        yield from ctx.store(agg, b, local, site=SITE_STORE_AGG)
-        yield from ctx.store(flag_a, b, 1, site=SITE_STORE_FLAG_A)
+        local = yield ctx.load(blocksum, b)
+        yield ctx.store(agg, b, local, site=SITE_STORE_AGG)
+        yield ctx.store(flag_a, b, 1, site=SITE_STORE_FLAG_A)
         return
     if ctx.tid != 1:
         return
@@ -71,15 +71,15 @@ def scan_kernel(ctx: ThreadContext, data, agg, flag_a, prefix, flag_p,
     else:
         yield from spin_until_equal(ctx, flag_a, b - 1, 1,
                                     site=SITE_LOAD_FLAG_A)
-        prev_agg = yield from ctx.load(agg, b - 1, site=SITE_LOAD_AGG)
+        prev_agg = yield ctx.load(agg, b - 1, site=SITE_LOAD_AGG)
         yield from spin_until_equal(ctx, flag_p, b - 1, 1,
                                     site=SITE_LOAD_FLAG_P)
-        prev_prefix = yield from ctx.load(prefix, b - 1,
+        prev_prefix = yield ctx.load(prefix, b - 1,
                                           site=SITE_LOAD_PREFIX)
         excl = prev_prefix + prev_agg
-    yield from ctx.store(prefix, b, excl, site=SITE_STORE_PREFIX)
-    yield from ctx.store(flag_p, b, 1, site=SITE_STORE_FLAG_P)
-    yield from ctx.store(out, b, excl, site=SITE_STORE_OUT)
+    yield ctx.store(prefix, b, excl, site=SITE_STORE_PREFIX)
+    yield ctx.store(flag_p, b, 1, site=SITE_STORE_FLAG_P)
+    yield ctx.store(out, b, excl, site=SITE_STORE_OUT)
 
 
 class CubScan(Application):

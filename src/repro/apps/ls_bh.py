@@ -74,35 +74,35 @@ def build_kernel(ctx: ThreadContext, px, py, cell_slot, node_qid, assign,
             for i in mine:
                 if i in copied:
                     continue
-                ready = yield from ctx.load(assign_flag, i)
+                ready = yield ctx.load(assign_flag, i)
                 if ready != 1:
                     continue
-                a = yield from ctx.load(assign, i, site=SITE_LOAD_ASSIGN)
-                yield from ctx.store(summary, i, a, site=SITE_STORE_SUMMARY)
+                a = yield ctx.load(assign, i, site=SITE_LOAD_ASSIGN)
+                yield ctx.store(summary, i, a, site=SITE_STORE_SUMMARY)
                 copied.add(i)
         return
 
     worker_threads = (ctx.grid_dim - 1) * ctx.block_dim
     i = ctx.global_tid()
     while i < n:
-        x = yield from ctx.load(px, i)
-        y = yield from ctx.load(py, i)
+        x = yield ctx.load(px, i)
+        y = yield ctx.load(py, i)
         quad = _quadrant(x, y)
-        slot = yield from ctx.load(cell_slot, quad)
+        slot = yield ctx.load(cell_slot, quad)
         if slot == 0:
             # Create the cell: initialise node data, then publish.
-            yield from ctx.store(
+            yield ctx.store(
                 node_qid, quad, _node_tag(quad), site=SITE_NODE_INIT
             )
-            yield from ctx.atomic_cas(cell_slot, quad, 0, quad + 1)
+            yield ctx.atomic_cas(cell_slot, quad, 0, quad + 1)
         while True:
-            slot = yield from ctx.load(cell_slot, quad)
+            slot = yield ctx.load(cell_slot, quad)
             if slot != 0:
                 break
             yield from ctx.compute(2)
-        tag = yield from ctx.load(node_qid, quad, site=SITE_LOAD_NODE)
-        yield from ctx.store(assign, i, tag, site=SITE_CELL_ASSIGN)
-        yield from ctx.atomic_exch(assign_flag, i, 1)
+        tag = yield ctx.load(node_qid, quad, site=SITE_LOAD_NODE)
+        yield ctx.store(assign, i, tag, site=SITE_CELL_ASSIGN)
+        yield ctx.atomic_exch(assign_flag, i, 1)
         i += worker_threads
 
 
@@ -115,12 +115,12 @@ def force_kernel(ctx: ThreadContext, assign, mass, cell_sum, force,
             return
         total = 0
         for i in range(n):
-            a = yield from ctx.load(assign, i)
+            a = yield ctx.load(assign, i)
             if a == _node_tag(b):
-                m = yield from ctx.load(mass, i)
+                m = yield ctx.load(mass, i)
                 total += m
-        yield from ctx.store(cell_sum, b, total, site=SITE_MASS_STORE)
-        yield from ctx.atomic_add(k2phase, 0, 1)
+        yield ctx.store(cell_sum, b, total, site=SITE_MASS_STORE)
+        yield ctx.atomic_add(k2phase, 0, 1)
         return
     if b < 2 * N_CELLS:
         quad = b - N_CELLS
@@ -128,14 +128,14 @@ def force_kernel(ctx: ThreadContext, assign, mass, cell_sum, force,
             return
         yield from spin_until_at_least(ctx, k2phase, 0, N_CELLS)
         for i in range(quad, n, N_CELLS):
-            a = yield from ctx.load(assign, i)
+            a = yield ctx.load(assign, i)
             f = 0
             for q in range(N_CELLS):
-                s = yield from ctx.load(cell_sum, q, site=SITE_LOAD_MASS)
+                s = yield ctx.load(cell_sum, q, site=SITE_LOAD_MASS)
                 if _node_tag(q) != a:
                     f += s
-            yield from ctx.store(force, i, f, site=SITE_FORCE_STORE)
-            yield from ctx.atomic_exch(force_flag, i, 1)
+            yield ctx.store(force, i, f, site=SITE_FORCE_STORE)
+            yield ctx.atomic_exch(force_flag, i, 1)
         return
     # Mover block: every thread integrates a strided slice of bodies,
     # promptly, as each body's force is published.
@@ -145,12 +145,12 @@ def force_kernel(ctx: ThreadContext, assign, mass, cell_sum, force,
         for i in mine:
             if i in moved:
                 continue
-            ready = yield from ctx.load(force_flag, i)
+            ready = yield ctx.load(force_flag, i)
             if ready != 1:
                 continue
-            f = yield from ctx.load(force, i, site=SITE_LOAD_FORCE)
-            x = yield from ctx.load(px, i)
-            yield from ctx.store(px_new, i, x + f, site=SITE_STORE_POS)
+            f = yield ctx.load(force, i, site=SITE_LOAD_FORCE)
+            x = yield ctx.load(px, i)
+            yield ctx.store(px_new, i, x + f, site=SITE_STORE_POS)
             moved.add(i)
 
 
@@ -158,8 +158,8 @@ def checksum_kernel(ctx: ThreadContext, px_new, chk, n):
     """Kernel 3: reduce the new positions (committed data; race free)."""
     i = ctx.global_tid()
     while i < n:
-        v = yield from ctx.load(px_new, i)
-        yield from ctx.atomic_add(chk, 0, v)
+        v = yield ctx.load(px_new, i)
+        yield ctx.atomic_add(chk, 0, v)
         i += ctx.n_threads
 
 

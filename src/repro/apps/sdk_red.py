@@ -37,23 +37,23 @@ def reduce_kernel(ctx: ThreadContext, data, partial, counter, out,
     tid = ctx.global_tid()
     acc = 0
     while tid < n:
-        v = yield from ctx.load(data, tid, site=SITE_LOAD_IN)
+        v = yield ctx.load(data, tid, site=SITE_LOAD_IN)
         acc += v
         tid += ctx.n_threads
     # Block-local reduction (shared memory in the SDK sample).
-    yield from ctx.atomic_add(blocksum, ctx.block_id, acc)
-    yield from ctx.syncthreads()
+    yield ctx.atomic_add(blocksum, ctx.block_id, acc)
+    yield ctx.syncthreads()
     if ctx.tid != 0:
         return
-    mine = yield from ctx.load(blocksum, ctx.block_id)
-    yield from ctx.store(partial, ctx.block_id, mine, site=SITE_STORE_PARTIAL)
-    old = yield from ctx.atomic_add(counter, 0, 1)
+    mine = yield ctx.load(blocksum, ctx.block_id)
+    yield ctx.store(partial, ctx.block_id, mine, site=SITE_STORE_PARTIAL)
+    old = yield ctx.atomic_add(counter, 0, 1)
     if old == ctx.grid_dim - 1:
         total = 0
         for b in range(ctx.grid_dim):
-            p = yield from ctx.load(partial, b, site=SITE_LOAD_PARTIAL)
+            p = yield ctx.load(partial, b, site=SITE_LOAD_PARTIAL)
             total += p
-        yield from ctx.store(out, 0, total, site=SITE_STORE_OUT)
+        yield ctx.store(out, 0, total, site=SITE_STORE_OUT)
 
 
 class SdkRed(Application):

@@ -40,20 +40,20 @@ def task_kernel(ctx: ThreadContext, items, head, mutex, counts, ndone, n):
     if ctx.tid != 0:
         return  # one worker per block, as in the original's task donation
     while True:
-        finished = yield from ctx.load(ndone, 0, site=SITE_LOAD_DONE)
+        finished = yield ctx.load(ndone, 0, site=SITE_LOAD_DONE)
         if finished >= n:
             return
         yield from lock(ctx, mutex)
-        h = yield from ctx.load(head, 0, site=SITE_LOAD_HEAD)
+        h = yield ctx.load(head, 0, site=SITE_LOAD_HEAD)
         if h >= n:
             yield from unlock(ctx, mutex)
             continue
-        task = yield from ctx.load(items, h, site=SITE_LOAD_ITEM)
-        yield from ctx.store(head, 0, h + 1, site=SITE_STORE_HEAD)
+        task = yield ctx.load(items, h, site=SITE_LOAD_ITEM)
+        yield ctx.store(head, 0, h + 1, site=SITE_STORE_HEAD)
         yield from unlock(ctx, mutex)
         if 0 <= task < n:
-            yield from ctx.atomic_add(counts, task, 1)
-        yield from ctx.atomic_add(ndone, 0, 1)
+            yield ctx.atomic_add(counts, task, 1)
+        yield ctx.atomic_add(ndone, 0, 1)
 
 
 class TpoTm(Application):

@@ -31,11 +31,15 @@ class Buffer:
     def addr(self, index: int) -> int:
         """Absolute word address of ``self[index]`` (bounds checked)."""
         if not 0 <= index < self.size:
-            raise InvalidAccessError(
-                f"index {index} out of bounds for buffer "
-                f"{self.name!r} of size {self.size}"
-            )
+            raise self.index_error(index)
         return self.base + index
+
+    def index_error(self, index: int) -> InvalidAccessError:
+        """The error for an access to ``self[index]`` out of bounds."""
+        return InvalidAccessError(
+            f"index {index} out of bounds for buffer "
+            f"{self.name!r} of size {self.size}"
+        )
 
     def __len__(self) -> int:
         return self.size

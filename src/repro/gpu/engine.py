@@ -23,7 +23,8 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   resumes the coroutine with ``send`` and dispatches on the op kind
   with an if-chain in frequency order (load, noop, rmw, store, fence,
   barrier, issue, poll), writing the thread's state back once per
-  burst.
+  burst.  It runs a flagged access's site fence in the next slot and
+  spends an atomic's issue-latency slots before its read-modify-write.
 * Each engine keeps the grid of every (kernel, launch config) it has
   run and relaunches it on the next run of that launch (fresh
   coroutines, per-run fields reset, the same block shuffle draw), so a
@@ -44,6 +45,7 @@ from ..chips.profile import HardwareProfile
 from ..errors import KernelTimeoutError
 from ..rng import BufferedRNG
 from .events import (
+    FENCE,
     OP_BARRIER,
     OP_FENCE,
     OP_ISSUE,
@@ -67,6 +69,12 @@ DEFAULT_MAX_TICKS = 400_000
 #: program-order operations would be separated by a full scheduling
 #: round-trip and weak-memory race windows would vanish.
 BURST = 4
+
+#: Issue latency of atomic read-modify-writes, in cycles.  GPU atomics
+#: are considerably slower than plain accesses; the latency also gives
+#: program-order-earlier buffered stores a head start on draining, which
+#: is why unlock races are rare natively.
+_ATOMIC_LATENCY = 2
 
 
 class Outcome(enum.Enum):
@@ -249,17 +257,31 @@ class Engine:
                                 break
                             if state:
                                 state.clear()
+                            if op[2]:
+                                # Site fence: it takes the next slot and
+                                # sends the loaded value on when done.
+                                op = (OP_FENCE, value)
+                                continue
                         elif kind == OP_NOOP:
                             value = None
                         elif kind == OP_RMW:
+                            spent = thread.latency
+                            if spent < _ATOMIC_LATENCY:
+                                # An issue-latency slot: the op stays.
+                                thread.latency = spent + 1
+                                continue
                             value = rmw(sm, key, op[1], op[2], state)
                             if value is STALL:
                                 break
+                            thread.latency = 0
                             if state:
                                 state.clear()
                         elif kind == OP_STORE:
                             if not write(sm, key, op[1], op[2]):
                                 break
+                            if op[3]:
+                                op = FENCE
+                                continue
                             value = None
                         elif kind == OP_FENCE:
                             if "pending" not in state:
@@ -284,7 +306,7 @@ class Engine:
                             thread.sleep_until = ticks + cost
                             fence_stalls += cost
                             n_fences += 1
-                            value = None
+                            value = op[1]
                         elif kind == OP_BARRIER:
                             thread.at_barrier = True
                             op = value = None

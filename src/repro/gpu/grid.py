@@ -91,6 +91,7 @@ class Grid:
                 thread.done = False
                 thread.at_barrier = False
                 thread.sleep_until = 0
+                thread.latency = 0
         for warp in self.warps:
             warp.n_active = len(warp.threads)
         self.n_live = len(self.threads)
@@ -126,7 +127,6 @@ def build_grid(
                     block_id=block_id,
                     block_dim=config.block_dim,
                     grid_dim=config.grid_dim,
-                    warp_size=config.warp_size,
                 )
                 threads.append(SimThread(key, ctx))
                 key += 1

@@ -7,20 +7,24 @@ e.g.::
         tid = ctx.global_tid()
         acc = 0.0
         while tid < n:
-            av = yield from ctx.load(a, tid)
-            bv = yield from ctx.load(b, tid)
+            av = yield ctx.load(a, tid)
+            bv = yield ctx.load(b, tid)
             acc += av * bv
-            tid += ctx.block_dim * ctx.grid_dim
+            tid += ctx.n_threads
         ...
 
-Every memory operation is a ``yield from`` so the engine can interleave
-warps at memory-operation granularity.  Device helper functions (locks,
-queue operations) are themselves generators invoked with ``yield from``,
-mirroring CUDA ``__device__`` functions.
+Every memory operation is one plain ``yield`` of an op tuple, so the
+engine can interleave warps at memory-operation granularity: the
+context's access methods are op *constructors* that bounds-check the
+index and return the tuple (formats in :mod:`repro.gpu.events`), and
+the engine sends the op's result back as the value of the ``yield``.
+Device functions that span several operations (locks, spins,
+``compute``) are generators invoked with ``yield from``, mirroring CUDA
+``__device__`` functions.
 
-Fence *sites*: each memory access in an application can carry a ``site``
-label.  If the label is in the context's active ``fence_sites`` set, a
-device fence is executed immediately after the access — this is the
+Fence *sites*: a load or store can carry a ``site`` label.  If the label
+is in the context's active ``fence_sites`` set, the op's fence flag is
+set and the engine runs a device fence right after the access — the
 instrumentation used by empirical fence insertion (paper Sec. 5), whose
 starting point is "a fence after every memory access".
 """
@@ -29,9 +33,8 @@ from __future__ import annotations
 
 from .addresses import Buffer
 from .events import (
-    FENCE_DEVICE,
+    FENCE,
     OP_BARRIER,
-    OP_FENCE,
     OP_ISSUE,
     OP_LOAD,
     OP_NOOP,
@@ -40,12 +43,8 @@ from .events import (
     OP_STORE,
 )
 
-
-#: Issue latency of atomic read-modify-writes, in cycles.  GPU atomics
-#: are considerably slower than plain accesses; the latency also gives
-#: program-order-earlier buffered stores a head start on draining, which
-#: is why unlock races are rare natively.
-_ATOMIC_LATENCY = 2
+_BARRIER = (OP_BARRIER,)
+_NOOP = (OP_NOOP,)
 
 
 class ThreadContext:
@@ -56,7 +55,7 @@ class ThreadContext:
         "block_id",
         "block_dim",
         "grid_dim",
-        "warp_size",
+        "n_threads",
         "fence_sites",
     )
 
@@ -66,136 +65,95 @@ class ThreadContext:
         block_id: int,
         block_dim: int,
         grid_dim: int,
-        warp_size: int,
         fence_sites: frozenset[str] = frozenset(),
     ):
         self.tid = tid
         self.block_id = block_id
         self.block_dim = block_dim
         self.grid_dim = grid_dim
-        self.warp_size = warp_size
+        #: Total threads in the grid.
+        self.n_threads = block_dim * grid_dim
         self.fence_sites = fence_sites
 
-    # ------------------------------------------------------------------
-    # id helpers (CUDA primitives)
-    # ------------------------------------------------------------------
     def global_tid(self) -> int:
         """``threadIdx.x + blockIdx.x * blockDim.x``."""
         return self.tid + self.block_id * self.block_dim
 
-    @property
-    def warp_id(self) -> int:
-        """Warp index of this thread within its block."""
-        return self.tid // self.warp_size
-
-    @property
-    def lane(self) -> int:
-        """Lane index of this thread within its warp."""
-        return self.tid % self.warp_size
-
-    @property
-    def n_threads(self) -> int:
-        """Total threads in the grid."""
-        return self.block_dim * self.grid_dim
-
     # ------------------------------------------------------------------
-    # memory operations (generators; use with ``yield from``)
+    # memory operations (op constructors; use with a plain ``yield``)
     # ------------------------------------------------------------------
-    # Site fences are expanded inline (``site in self.fence_sites``
-    # followed by a plain ``yield``) rather than via a helper generator:
-    # every memory access would otherwise build and exhaust one
-    # sub-generator per operation, a measurable cost in campaign-scale
-    # runs.  The yielded op stream is identical either way.
-
     def load(self, buf: Buffer, idx: int, site: str | None = None):
-        """Global load; returns the loaded value."""
-        value = yield (OP_LOAD, buf.addr(idx))
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
-        return value
+        """Global load; the engine sends back the loaded value."""
+        if 0 <= idx < buf.size:
+            return (OP_LOAD, buf.base + idx, site in self.fence_sites)
+        raise buf.index_error(idx)
 
     def store(self, buf: Buffer, idx: int, val, site: str | None = None):
         """Global store (buffered; becomes visible when it drains)."""
-        yield (OP_STORE, buf.addr(idx), val)
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
+        if 0 <= idx < buf.size:
+            return (OP_STORE, buf.base + idx, val, site in self.fence_sites)
+        raise buf.index_error(idx)
 
     def issue_load(self, buf: Buffer, idx: int):
-        """Issue a deferred load; returns a handle for ``await_load``.
+        """Issue a deferred load; the engine sends a handle for ``await_load``.
 
         The issue/resolve split mirrors how generated litmus kernels
         only read their registers at the very end of the test, so the
         load may resolve after program-order-later operations — the
         LB-shaped reordering (see :class:`repro.gpu.memory.DeferredLoad`).
         """
-        handle = yield (OP_ISSUE, buf.addr(idx))
-        return handle
+        if 0 <= idx < buf.size:
+            return (OP_ISSUE, buf.base + idx)
+        raise buf.index_error(idx)
 
     def await_load(self, handle):
-        """Block until a deferred load resolves; returns its value."""
-        value = yield (OP_POLL, handle)
-        return value
+        """Block until a deferred load resolves; the engine sends its value."""
+        return (OP_POLL, handle)
 
-    def atomic_cas(
-        self, buf: Buffer, idx: int, compare, val, site: str | None = None
-    ):
-        """``atomicCAS``: returns the old value."""
-        for _ in range(_ATOMIC_LATENCY):
-            yield (OP_NOOP,)
-        old = yield (
-            OP_RMW,
-            buf.addr(idx),
-            lambda cur: val if cur == compare else cur,
-        )
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
-        return old
+    def atomic_cas(self, buf: Buffer, idx: int, compare, val):
+        """``atomicCAS``: the engine sends back the old value."""
+        if 0 <= idx < buf.size:
+            return (
+                OP_RMW,
+                buf.base + idx,
+                lambda cur: val if cur == compare else cur,
+            )
+        raise buf.index_error(idx)
 
-    def atomic_exch(self, buf: Buffer, idx: int, val, site: str | None = None):
-        """``atomicExch``: returns the old value."""
-        for _ in range(_ATOMIC_LATENCY):
-            yield (OP_NOOP,)
-        old = yield (OP_RMW, buf.addr(idx), lambda _cur: val)
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
-        return old
+    def atomic_exch(self, buf: Buffer, idx: int, val):
+        """``atomicExch``: the engine sends back the old value."""
+        if 0 <= idx < buf.size:
+            return (OP_RMW, buf.base + idx, lambda _cur: val)
+        raise buf.index_error(idx)
 
-    def atomic_add(self, buf: Buffer, idx: int, delta, site: str | None = None):
-        """``atomicAdd``: returns the old value."""
-        for _ in range(_ATOMIC_LATENCY):
-            yield (OP_NOOP,)
-        old = yield (OP_RMW, buf.addr(idx), lambda cur: cur + delta)
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
-        return old
+    def atomic_add(self, buf: Buffer, idx: int, delta):
+        """``atomicAdd``: the engine sends back the old value."""
+        if 0 <= idx < buf.size:
+            return (OP_RMW, buf.base + idx, lambda cur: cur + delta)
+        raise buf.index_error(idx)
 
-    def atomic_inc_mod(
-        self, buf: Buffer, idx: int, limit: int, site: str | None = None
-    ):
+    def atomic_inc_mod(self, buf: Buffer, idx: int, limit: int):
         """``atomicInc``: old value; wraps to 0 when old == limit."""
-        for _ in range(_ATOMIC_LATENCY):
-            yield (OP_NOOP,)
-        old = yield (
-            OP_RMW,
-            buf.addr(idx),
-            lambda cur: 0 if cur >= limit else cur + 1,
-        )
-        if site is not None and site in self.fence_sites:
-            yield (OP_FENCE, FENCE_DEVICE)
-        return old
+        if 0 <= idx < buf.size:
+            return (
+                OP_RMW,
+                buf.base + idx,
+                lambda cur: 0 if cur >= limit else cur + 1,
+            )
+        raise buf.index_error(idx)
 
     # ------------------------------------------------------------------
     # ordering operations
     # ------------------------------------------------------------------
     def fence_device(self):
         """``__threadfence()``: order prior accesses device-wide."""
-        yield (OP_FENCE, FENCE_DEVICE)
+        return FENCE
 
     def syncthreads(self):
         """``__syncthreads()``: block barrier with memory consistency."""
-        yield (OP_BARRIER,)
+        return _BARRIER
 
     def compute(self, cycles: int = 1):
         """Model ``cycles`` of pure computation (no memory traffic)."""
         for _ in range(cycles):
-            yield (OP_NOOP,)
+            yield _NOOP

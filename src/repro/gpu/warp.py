@@ -2,9 +2,10 @@
 
 A :class:`SimThread` owns one kernel coroutine plus the small amount of
 state the engine needs to drive it (pending operation, sticky per-op
-scratch, barrier/done flags).  A :class:`Warp` groups threads that advance
-together: when the scheduler picks a warp, every active thread in it
-attempts one operation — the simulator's rendering of SIMT lock-step.
+scratch, atomic issue latency, barrier/done flags).  A :class:`Warp`
+groups threads that advance together: when the scheduler picks a warp,
+every active thread in it attempts one operation — the simulator's
+rendering of SIMT lock-step.
 
 Hot-path bookkeeping: each thread stores its SM (assigned per launch,
 replacing a per-run key->SM dict) and a back-reference to its warp, and
@@ -34,6 +35,7 @@ class SimThread:
         "done",
         "at_barrier",
         "sleep_until",
+        "latency",
     )
 
     def __init__(self, key: int, ctx: ThreadContext):
@@ -49,6 +51,7 @@ class SimThread:
         self.done = False
         self.at_barrier = False
         self.sleep_until = 0
+        self.latency = 0
 
 
 class Warp:

@@ -10,7 +10,8 @@ both backends, so their weak-outcome rates must agree (the
 cross-backend parity tests); the compiled path additionally exercises
 the scheduler, fence-site machinery and deferred-load engine ops.
 
-Lowering rules:
+Lowering rules (each right-hand side is an op constructor the kernel
+yields with a plain ``yield``):
 
 * ``("st", loc, v)``    -> ``ctx.store(comm, idx(loc), v)``
 * ``("ld", loc, r)``    -> ``ctx.issue_load`` now, ``ctx.await_load`` +
@@ -51,18 +52,18 @@ def _litmus_thread(ctx, programs, comm, out, reg_slots):
     for ins in program:
         kind = ins[0]
         if kind == "st":
-            yield from ctx.store(comm, ins[1], ins[2])
+            yield ctx.store(comm, ins[1], ins[2])
         elif kind == "ld":
-            handle = yield from ctx.issue_load(comm, ins[1])
+            handle = yield ctx.issue_load(comm, ins[1])
             pending.append((reg_slots[ins[2]], handle))
         elif kind == "fence":
-            yield from ctx.fence_device()
+            yield ctx.fence_device()
         else:  # rmw — atomic exchange; the old value is a register
-            old = yield from ctx.atomic_exch(comm, ins[1], ins[3])
-            yield from ctx.store(out, reg_slots[ins[2]], old)
+            old = yield ctx.atomic_exch(comm, ins[1], ins[3])
+            yield ctx.store(out, reg_slots[ins[2]], old)
     for slot, handle in pending:
-        value = yield from ctx.await_load(handle)
-        yield from ctx.store(out, slot, value)
+        value = yield ctx.await_load(handle)
+        yield ctx.store(out, slot, value)
 
 
 @dataclass(frozen=True)

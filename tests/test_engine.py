@@ -6,7 +6,16 @@ import pytest
 from repro.chips import SC_REFERENCE, get_chip
 from repro.gpu.addresses import AddressSpace
 from repro.gpu.engine import Engine, Outcome
-from repro.gpu.events import OP_LOAD
+from repro.errors import InvalidAccessError
+from repro.gpu.events import (
+    OP_BARRIER,
+    OP_FENCE,
+    OP_ISSUE,
+    OP_LOAD,
+    OP_POLL,
+    OP_RMW,
+    OP_STORE,
+)
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import MemorySystem
 from repro.gpu.pressure import StressField
@@ -31,7 +40,7 @@ class TestBasicExecution:
         out = space.alloc("out", 8)
 
         def kernel(ctx, out):
-            yield from ctx.store(out, ctx.global_tid(), ctx.global_tid())
+            yield ctx.store(out, ctx.global_tid(), ctx.global_tid())
 
         result, mem = run_kernel(kernel, [out])
         assert result.outcome is Outcome.OK
@@ -43,8 +52,8 @@ class TestBasicExecution:
         out = space.alloc("out", 4)
 
         def kernel(ctx, data, out):
-            v = yield from ctx.load(data, ctx.global_tid() % 4)
-            yield from ctx.store(out, ctx.global_tid() % 4, v * 2)
+            v = yield ctx.load(data, ctx.global_tid() % 4)
+            yield ctx.store(out, ctx.global_tid() % 4, v * 2)
 
         def init(mem):
             mem.host_fill(data, [1, 2, 3, 4])
@@ -63,7 +72,7 @@ class TestBasicExecution:
         counter = space.alloc("counter", 1)
 
         def kernel(ctx, counter):
-            yield from ctx.atomic_add(counter, 0, 1)
+            yield ctx.atomic_add(counter, 0, 1)
 
         result, mem = run_kernel(kernel, [counter], grid=4, block=8)
         assert mem.host_read(counter, 0) == 32
@@ -74,9 +83,9 @@ class TestBasicExecution:
         wins = space.alloc("wins", 1)
 
         def kernel(ctx, cell, wins):
-            old = yield from ctx.atomic_cas(cell, 0, 0, 1)
+            old = yield ctx.atomic_cas(cell, 0, 0, 1)
             if old == 0:
-                yield from ctx.atomic_add(wins, 0, 1)
+                yield ctx.atomic_add(wins, 0, 1)
 
         result, mem = run_kernel(kernel, [cell, wins], grid=4, block=8)
         assert mem.host_read(wins, 0) == 1
@@ -86,7 +95,7 @@ class TestBasicExecution:
         c = space.alloc("c", 1)
 
         def kernel(ctx, c):
-            yield from ctx.atomic_inc_mod(c, 0, 2)
+            yield ctx.atomic_inc_mod(c, 0, 2)
 
         result, mem = run_kernel(kernel, [c], grid=1, block=6, warp=8)
         # 6 increments wrapping at limit 2: 1,2,0,1,2,0
@@ -100,12 +109,12 @@ class TestBarriers:
         out = space.alloc("out", 8)
 
         def kernel(ctx, data, out):
-            yield from ctx.store(data, ctx.tid, ctx.tid + 1)
-            yield from ctx.syncthreads()
+            yield ctx.store(data, ctx.tid, ctx.tid + 1)
+            yield ctx.syncthreads()
             # Read a neighbour's value: must be visible after barrier.
             neighbour = (ctx.tid + 1) % ctx.block_dim
-            v = yield from ctx.load(data, neighbour)
-            yield from ctx.store(out, ctx.tid, v)
+            v = yield ctx.load(data, neighbour)
+            yield ctx.store(out, ctx.tid, v)
 
         result, mem = run_kernel(kernel, [data, out], grid=1, block=8,
                                  warp=4, seed=3)
@@ -119,8 +128,8 @@ class TestBarriers:
         def kernel(ctx, out):
             if ctx.tid >= 4:
                 return
-            yield from ctx.syncthreads()
-            yield from ctx.store(out, ctx.tid, 1)
+            yield ctx.syncthreads()
+            yield ctx.store(out, ctx.tid, 1)
 
         result, _mem = run_kernel(kernel, [out], grid=1, block=8)
         assert result.outcome is Outcome.OK
@@ -158,7 +167,7 @@ class TestFenceInstrumentation:
         out = space.alloc("out", 4)
 
         def kernel(ctx, out):
-            yield from ctx.store(out, ctx.tid, 1, site="s1")
+            yield ctx.store(out, ctx.tid, 1, site="s1")
 
         result, _ = run_kernel(kernel, [out], grid=1, block=4,
                                fence_sites=frozenset({"s1"}))
@@ -169,7 +178,7 @@ class TestFenceInstrumentation:
         out = space.alloc("out", 4)
 
         def kernel(ctx, out):
-            yield from ctx.store(out, ctx.tid, 1, site="s1")
+            yield ctx.store(out, ctx.tid, 1, site="s1")
 
         result, _ = run_kernel(kernel, [out], grid=1, block=4)
         assert result.n_fences == 0
@@ -180,10 +189,10 @@ class TestFenceInstrumentation:
         data = space.alloc("data", 8)
 
         def store_kernel(ctx, out, data):
-            yield from ctx.store(out, ctx.tid, 1, site="s")
+            yield ctx.store(out, ctx.tid, 1, site="s")
 
         def load_kernel(ctx, out, data):
-            yield from ctx.load(data, ctx.tid, site="s")
+            yield ctx.load(data, ctx.tid, site="s")
 
         chip = get_chip("K20")
         r_store, _ = run_kernel(store_kernel, [out, data], grid=1,
@@ -201,10 +210,10 @@ class TestMultiKernel:
         c = space.alloc("c", 1)
 
         def k1(ctx, c):
-            yield from ctx.atomic_add(c, 0, 1)
+            yield ctx.atomic_add(c, 0, 1)
 
         def k2(ctx, c):
-            yield from ctx.atomic_add(c, 0, 10)
+            yield ctx.atomic_add(c, 0, 10)
 
         chip = SC_REFERENCE
         mem = MemorySystem(chip, StressField.zero(chip),
@@ -242,14 +251,14 @@ def _parking_kernel(ctx, flag, data):
     if ctx.tid == 0:
         return
     if ctx.tid == 1:
-        yield from ctx.store(data, 0, 1)
+        yield ctx.store(data, 0, 1)
         # SC loads never bypass the thread's own buffered store.
-        yield from ctx.load(data, 32)
+        yield ctx.load(data, 32)
     elif ctx.tid == 2:
-        yield from ctx.syncthreads()
+        yield ctx.syncthreads()
     else:
-        yield from ctx.fence_device()
-    while (yield from ctx.load(flag, 0, site="spin")) == 0:
+        yield ctx.fence_device()
+    while (yield ctx.load(flag, 0, site="spin")) == 0:
         yield from ctx.compute(1)
 
 
@@ -261,7 +270,7 @@ def _only_grid(engine):
 class TestBurstLoop:
     def test_fence_mid_burst_keeps_the_burst_and_sleeps_next_tick(self):
         def kernel(ctx):
-            yield from ctx.fence_device()
+            yield ctx.fence_device()
             yield from ctx.compute(4)
 
         # Tick 1: fence (no stores to drain: 2 cycles) + 3 noops; tick 2
@@ -276,8 +285,8 @@ class TestBurstLoop:
         data = space.alloc("data", 64)
 
         def kernel(ctx, data):
-            yield from ctx.store(data, 0, 1)
-            yield from ctx.load(data, 32)
+            yield ctx.store(data, 0, 1)
+            yield ctx.load(data, 32)
             yield from ctx.compute(2)
 
         chip = SC_REFERENCE
@@ -288,7 +297,7 @@ class TestBurstLoop:
                             LaunchConfig(1, 1, 1))
         assert result.timed_out
         (thread,) = _only_grid(engine).threads
-        assert thread.op == (OP_LOAD, data.addr(32))
+        assert thread.op == (OP_LOAD, data.addr(32), False)
         assert thread.op_state == {"waiting": True}
 
     def test_unknown_op_names_the_op_and_the_thread(self):
@@ -299,6 +308,103 @@ class TestBurstLoop:
         with pytest.raises(ValueError,
                            match=r"unknown op \('bogus', 7\) from thread 1"):
             run_kernel(kernel, [], grid=1, block=2, warp=2)
+
+
+#: A buffer for kernels that never reach memory: their op fails first.
+_DATA = AddressSpace().alloc("data", 4)
+
+#: Each access constructor, its arguments after the buffer and index,
+#: and the kind of op it builds.
+_ACCESSES = [
+    ("load", (), OP_LOAD),
+    ("store", (1,), OP_STORE),
+    ("atomic_cas", (0, 1), OP_RMW),
+    ("atomic_exch", (1,), OP_RMW),
+    ("atomic_add", (1,), OP_RMW),
+    ("atomic_inc_mod", (2,), OP_RMW),
+    ("issue_load", (), OP_ISSUE),
+]
+
+#: Every constructor with a full argument list, and its op kind.
+_CONSTRUCTORS = [
+    (name, (_DATA, 0, *args), kind) for name, args, kind in _ACCESSES
+] + [
+    ("await_load", (None,), OP_POLL),
+    ("fence_device", (), OP_FENCE),
+    ("syncthreads", (), OP_BARRIER),
+]
+
+
+class TestOpConstructors:
+    @pytest.mark.parametrize("index", [-1, 4], ids=["below", "above"])
+    @pytest.mark.parametrize(
+        "name,args",
+        [(name, args) for name, args, _kind in _ACCESSES],
+        ids=[a[0] for a in _ACCESSES],
+    )
+    def test_out_of_range_index_fails_the_run_naming_the_buffer(
+        self, name, args, index
+    ):
+        def kernel(ctx):
+            yield getattr(ctx, name)(_DATA, index, *args)
+
+        with pytest.raises(
+            InvalidAccessError,
+            match=rf"index {index} out of bounds for buffer 'data' of size 4",
+        ):
+            run_kernel(kernel, [], grid=1, block=1, warp=1)
+
+    @pytest.mark.parametrize(
+        "name,args,kind", _CONSTRUCTORS, ids=[c[0] for c in _CONSTRUCTORS]
+    )
+    def test_yield_from_a_constructor_is_an_unknown_op(self, name, args,
+                                                        kind):
+        """Delegating to an op tuple hands the engine its kind string
+        first: the stray idiom must fail, never mis-simulate."""
+        def kernel(ctx):
+            if ctx.tid == 1:
+                yield from getattr(ctx, name)(*args)
+
+        with pytest.raises(
+            ValueError, match=rf"unknown op '{kind}' from thread 1"
+        ):
+            run_kernel(kernel, [], grid=1, block=2, warp=2)
+
+    def test_fenced_load_sends_its_value_after_the_fence(self):
+        space = AddressSpace()
+        data = space.alloc("data", 4)
+        out = space.alloc("out", 4)
+
+        def kernel(ctx, data, out):
+            v = yield ctx.load(data, ctx.tid, site="ld")
+            yield ctx.store(out, ctx.tid, v + 1, site="st")
+            after = yield ctx.fence_device()
+            yield ctx.store(out, ctx.tid + 2, after)
+
+        chip = SC_REFERENCE
+        mem = MemorySystem(chip, StressField.zero(chip),
+                           np.random.default_rng(0))
+        mem.host_fill(data, [5, 6, 7, 8])
+        engine = Engine(chip, mem, np.random.default_rng(1))
+        result = engine.run(Kernel("k", kernel, (data, out)),
+                            LaunchConfig(1, 2, 2),
+                            fence_sites=frozenset({"ld", "st"}))
+        assert result.n_fences == 6
+        assert [mem.host_read(out, i) for i in range(4)] == [6, 7, None, None]
+
+    def test_atomic_spends_two_latency_slots_before_its_rmw(self):
+        space = AddressSpace()
+        c = space.alloc("c", 1)
+
+        def kernel(ctx, c):
+            yield ctx.atomic_add(c, 0, 1)
+            yield ctx.atomic_add(c, 0, 1)
+
+        # Tick 1: two latency slots, the first RMW, one latency slot;
+        # tick 2: the second latency slot, the RMW and the exit.
+        result, mem = run_kernel(kernel, [c], grid=1, block=1, warp=1)
+        assert result.ticks == 2
+        assert mem.host_read(c, 0) == 2
 
 
 class TestGridRelaunch:
@@ -352,10 +458,10 @@ class TestGridRelaunch:
 
         def kernel(ctx, data, out):
             g = ctx.global_tid()
-            yield from ctx.store(data, g, g + 1)
-            yield from ctx.syncthreads()
-            v = yield from ctx.load(data, (g + 1) % ctx.n_threads)
-            yield from ctx.store(out, g, v)
+            yield ctx.store(data, g, g + 1)
+            yield ctx.syncthreads()
+            v = yield ctx.load(data, (g + 1) % ctx.n_threads)
+            yield ctx.store(out, g, v)
 
         kernel = Kernel("k", kernel, (data, out))
         config = LaunchConfig(8, 4, 2)
@@ -387,7 +493,7 @@ class TestGridRelaunch:
         out = space.alloc("out", 16)
 
         def kernel(ctx, out):
-            yield from ctx.store(out, ctx.global_tid(), ctx.global_tid() + 1)
+            yield ctx.store(out, ctx.global_tid(), ctx.global_tid() + 1)
 
         kernel = Kernel("k", kernel, (out,))
         small, large = LaunchConfig(1, 4, 4), LaunchConfig(2, 8, 4)

@@ -105,7 +105,7 @@ class TestEngineInvariants:
         total = space.alloc("total", 1)
 
         def kernel(ctx, total):
-            yield from ctx.atomic_add(total, 0, ctx.global_tid() + 1)
+            yield ctx.atomic_add(total, 0, ctx.global_tid() + 1)
 
         field = StressField.from_locations(chip, 512, [0, 32], 1.2, 640)
         mem = MemorySystem(chip, field, np.random.default_rng(seed))
@@ -129,13 +129,13 @@ class TestEngineInvariants:
 
         def producer_consumer(ctx, data, flag, seen):
             if ctx.block_id == 0:
-                yield from ctx.store(data, 0, 1, site="d")
-                yield from ctx.store(flag, 0, 1, site="f")
+                yield ctx.store(data, 0, 1, site="d")
+                yield ctx.store(flag, 0, 1, site="f")
             else:
-                f = yield from ctx.load(flag, 0)
+                f = yield ctx.load(flag, 0)
                 if f == 1:
-                    d = yield from ctx.load(data, 0)
-                    yield from ctx.store(seen, 0, (f, d))
+                    d = yield ctx.load(data, 0)
+                    yield ctx.store(seen, 0, (f, d))
 
         for seed in range(60):
             field = StressField.from_locations(
