@@ -206,14 +206,6 @@ class StressField:
         saturation = self.profile.pressure_threshold * self.profile.n_channels
         return _DIFFUSE_FACTOR * min(1.0, total / saturation)
 
-    def effective(self, ch_primary: int, ch_secondary: int) -> float:
-        """Pressure relevant to reordering an access on ``ch_primary``
-        past one on ``ch_secondary``."""
-        return float(
-            self.press[ch_primary]
-            + self.profile.cross_channel_weight * self.press[ch_secondary]
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cells = ", ".join(f"{p:.2f}" for p in self.press)
         return f"StressField({self.profile.short_name}, [{cells}])"

@@ -22,7 +22,7 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   per weight redraw — consumes the identical stream, so the pick
   sequence is bit-for-bit unchanged while a threaded-through
   :class:`~repro.rng.BufferedRNG` keeps serving scalar draws from its
-  pre-draw block instead of degrading to direct delegation.
+  pre-draw block instead of syncing for a delegated ``choice``.
 * The non-runnable fallback no longer rebuilds ``[w for w in warps if
   w.n_active]`` per pick: the engine reports every warp runnability
   transition (thread finished, parked at or released from a barrier)

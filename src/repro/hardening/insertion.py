@@ -66,14 +66,34 @@ class InsertionResult:
         }
 
 
+def _first_error(
+    batch: ApplicationBatch, fences: frozenset[str], seed: int,
+    base: int, start: int, stop: int,
+) -> int | None:
+    """Index of the first erroneous fence-check run in ``[start, stop)``.
+
+    Run ``i`` uses the seed a serial check would use at counter value
+    ``base + i + 1``, and the loop stops at its first error, so every
+    caller traverses the same seed stream.  None when no run errs.
+    """
+    app, chip = batch.app.name, batch.chip.short_name
+    for i in range(start, stop):
+        result = batch.run(
+            derive_seed(seed, "check", app, chip, base + i + 1),
+            fence_sites=fences,
+        )
+        if result.erroneous:
+            return i
+    return None
+
+
 def _check_shard(args: tuple) -> CheckShard:
     """Process-pool worker: fence-check runs ``[start, stop)``.
 
-    Run ``i`` uses the seed a serial check would use at counter value
-    ``base + i + 1``.  The worker stops at its first error — later runs
-    of the shard cannot change the merged verdict (the first erroneous
-    index over all shards), so the speculation past a failure in an
-    earlier shard is the only wasted work.  The shard's runs share one
+    The worker stops at its first error — later runs of the shard
+    cannot change the merged verdict (the first erroneous index over
+    all shards), so the speculation past a failure in an earlier shard
+    is the only wasted work.  The shard's runs share one
     :class:`ApplicationBatch` (setup once; per-seed results identical
     to standalone runs).
     """
@@ -81,16 +101,8 @@ def _check_shard(args: tuple) -> CheckShard:
     batch = ApplicationBatch(
         app, chip, stress_spec=env.strategy, randomise=env.randomise
     )
-    for i in range(start, stop):
-        result = batch.run(
-            derive_seed(
-                seed, "check", app.name, chip.short_name, base + i + 1
-            ),
-            fence_sites=fences,
-        )
-        if result.erroneous:
-            return CheckShard(start=start, stop=stop, first_error=i)
-    return CheckShard(start=start, stop=stop, first_error=None)
+    first = _first_error(batch, fences, seed, base, start, stop)
+    return CheckShard(start=start, stop=stop, first_error=first)
 
 
 class EmpiricalFenceInserter:
@@ -151,19 +163,9 @@ class EmpiricalFenceInserter:
         """
         base = self._check_counter
         if self.parallel.serial:
-            first: int | None = None
-            batch = self.batch
-            for i in range(iterations):
-                result = batch.run(
-                    derive_seed(
-                        self.seed, "check", self.app.name,
-                        self.chip.short_name, base + i + 1,
-                    ),
-                    fence_sites=fences,
-                )
-                if result.erroneous:
-                    first = i
-                    break
+            first = _first_error(
+                self.batch, fences, self.seed, base, 0, iterations
+            )
         else:
             shards = parallel_map(
                 _check_shard,

@@ -111,14 +111,6 @@ class LitmusInstance:
             scratch_size=scratch.size,
         )
 
-    @property
-    def x_addr(self) -> int:
-        return self.comm_base
-
-    @property
-    def y_addr(self) -> int:
-        return self.comm_base + max(self.distance, 1)
-
     def addr(self, loc: str) -> int:
         """Address of location ``loc`` under this instance's layout."""
         index = self.test.locations.index(loc)

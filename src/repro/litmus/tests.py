@@ -60,15 +60,6 @@ class LitmusTest:
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
-    # -- compatibility surface (the original two-thread shape) ---------
-    @property
-    def thread0(self) -> Program:
-        return self.threads[0]
-
-    @property
-    def thread1(self) -> Program:
-        return self.threads[1]
-
     @property
     def n_threads(self) -> int:
         return len(self.threads)

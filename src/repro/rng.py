@@ -8,11 +8,17 @@ Streams are *split* by hashing a parent seed together with a string label,
 which keeps independent components (scheduler, memory system, stressing,
 campaign driver) decoupled: adding draws to one component does not perturb
 another.
+
+Hot loops draw through :class:`BufferedRNG`, which serves scalar draws
+from block pre-draws of a PCG64 generator's own stream and hands every
+other draw to the generator at the same stream position, so a run is
+bit-identical with and without the wrapper.
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -38,19 +44,8 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *labels))
 
 
-def spawn(rng: np.random.Generator) -> np.random.Generator:
-    """Spawn a fresh independent generator from an existing one."""
-    return np.random.default_rng(rng.integers(0, _MASK64, dtype=np.uint64))
-
-
 #: Raw 64-bit words pre-drawn per refill.
 _BLOCK = 128
-#: A sync that consumed fewer scalars than this counts as "poor": the
-#: stream is interleaving delegated draws too densely for block
-#: pre-drawing to pay off.
-_POOR_SYNC = 8
-#: Consecutive poor syncs before the wrapper degrades to direct mode.
-_DIRECT_AFTER = 3
 
 #: ``next_double`` scale factor: a double is ``(uint64 >> 11) * 2**-53``.
 _INV53 = 1.0 / 9007199254740992.0
@@ -61,7 +56,7 @@ _2POW128 = 1 << 128
 
 
 class BufferedRNG:
-    """Block-buffering wrapper around a :class:`numpy.random.Generator`.
+    """Block-buffering wrapper around a PCG64 :class:`numpy.random.Generator`.
 
     Scalar ``random()`` and ``integers()`` calls dominate the
     simulator's hot loops, and each one pays the full numpy call
@@ -74,67 +69,53 @@ class BufferedRNG:
     * scalar ``integers(low, high)`` with a span that fits in 32 bits —
       numpy's Lemire rejection over buffered 32-bit halves (low half of
       a raw word first, high half kept for the next draw), including
-      the persistent cross-call half-word buffer.
+      the persistent cross-call half-word buffer;
+    * scalar ``integers`` over a one-value range — ``low``, drawing
+      nothing, as numpy does;
+    * ``choice(n, size=k, replace=False)`` — numpy's Floyd sampling
+      plus result shuffle over the same bounded 32-bit draws.
 
-    Because both emulations consume the identical stream the scalar
+    Because every emulation consumes the identical stream the real
     calls would have consumed, every downstream statistic is unchanged
     (the golden-statistics suite and ``tests/test_rng.py`` pin this
     against real ``Generator`` histories).
 
-    Any other draw (``choice``, ``uniform``, vector ``integers``, …)
-    *delegates* to the real generator.  Before delegating, the wrapper
-    syncs: it rewinds the bit generator past the unconsumed pre-draws
-    (``PCG64.advance`` by ``2**128 - leftover``; one double is one
-    64-bit step) and installs any pending half-word into the real
-    generator's state; after a delegated call that may buffer a half
-    word (bounded integer paths), it captures that buffer back out.
-    The real generator is therefore indistinguishable from one with a
-    scalar-only history at every delegation boundary.
+    Any other draw (``uniform``, ``dirichlet``, vector ``integers``,
+    any ``Generator`` method served through attribute lookup, …)
+    *delegates* to the real generator through :meth:`_delegate`, which
+    syncs when the method is called: it rewinds the bit generator past
+    the unconsumed pre-draws (``PCG64.advance`` by ``2**128 -
+    leftover``; one double is one 64-bit step) and installs any pending
+    half word into the real generator's state; after the call it
+    captures a half word the call left buffered back out.  The real
+    generator is therefore indistinguishable from one with a
+    scalar-only history at every delegation boundary, even for a method
+    looked up long before it is called.
 
-    Workloads that interleave delegated draws tightly (the engine's
-    scheduler under thread randomisation draws ``choice`` every tick)
-    would pay the rewind on every sync; after ``_DIRECT_AFTER``
-    consecutive poor syncs the wrapper permanently degrades to direct
-    delegation, making it safe to thread through any call site.
-    Non-PCG64 bit generators run in direct mode from construction (the
-    emulation is PCG64-specific); delegation is correct for every
-    Generator, just unbuffered.
+    The emulation is PCG64-specific (64-bit raw words, one word per
+    double, ``advance`` rewind, the ``has_uint32``/``uinteger`` state
+    schema), so only a ``Generator`` over ``PCG64`` or ``PCG64DXSM`` is
+    accepted.
     """
 
-    __slots__ = (
-        "gen",
-        "_bit",
-        "_raw",
-        "_dbuf",
-        "_i",
-        "_n",
-        "_has32",
-        "_u32",
-        "_poor_syncs",
-        "_direct",
-    )
+    __slots__ = ("gen", "_bit", "_raw", "_dbuf", "_i", "_n", "_has32", "_u32")
 
-    def __init__(self, gen: np.random.Generator, direct: bool = False):
-        if isinstance(gen, BufferedRNG):  # pragma: no cover - misuse guard
-            gen = gen.gen
+    def __init__(self, gen: np.random.Generator):
+        if not isinstance(gen, np.random.Generator) or not isinstance(
+            gen.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
+        ):
+            raise TypeError(
+                "BufferedRNG wraps a numpy Generator over PCG64 or "
+                f"PCG64DXSM, not {gen!r}"
+            )
         self.gen = gen
         self._bit = gen.bit_generator
-        # The emulation is PCG64-specific: 64-bit raw words, one word
-        # per double, advance()-rewind, and the has_uint32/uinteger
-        # state schema.  Any other bit generator runs in direct mode —
-        # pure delegation, correct for every Generator, just unbuffered.
-        if not isinstance(
-            self._bit, (np.random.PCG64, np.random.PCG64DXSM)
-        ):
-            direct = True
         self._raw = None
         self._dbuf: list[float] = []
         self._i = 0
         self._n = 0
         self._has32 = False
         self._u32 = 0
-        self._poor_syncs = 0
-        self._direct = direct
 
     # ------------------------------------------------------------------
     # emulated draws
@@ -142,14 +123,7 @@ class BufferedRNG:
     def random(self, size=None):
         """Uniform double(s); scalar calls are served from the block."""
         if size is not None:
-            if self._direct:
-                return self.gen.random(size=size)
-            self._sync()
-            out = self.gen.random(size=size)
-            self._capture()
-            return out
-        if self._direct:
-            return self.gen.random()
+            return self._delegate("random", size=size)
         i = self._i
         if i >= self._n:
             self._refill()
@@ -161,44 +135,32 @@ class BufferedRNG:
         """Bounded integer(s).  The scalar default-dtype case is served
         from the block via numpy's own Lemire-over-halves algorithm;
         anything else delegates."""
-        if self._direct:
-            # Direct mode owns nothing: the real generator's own
-            # half-word buffer carries the cross-call state natively.
-            return self.gen.integers(low, high, size=size, **kwargs)
         if (
             size is not None
             or kwargs
             or type(low) is not int
             or (high is not None and type(high) is not int)
         ):
-            self._sync()
-            out = self.gen.integers(low, high, size=size, **kwargs)
-            self._capture()
-            return out
+            return self._delegate("integers", low, high, size=size, **kwargs)
         if high is None:
             lo, hi = 0, low
         else:
             lo, hi = low, high
         span = hi - lo - 1  # inclusive range width (numpy's ``rng``)
-        if span <= 0 or span >= _MASK32:
-            # span==0 draws nothing in numpy; <0 raises; ==2**32-1 and
-            # 64-bit spans use different C paths — delegate all of them.
-            self._sync()
-            out = self.gen.integers(low, high)
-            self._capture()
-            return out
+        if span == 0:
+            return lo  # one value: numpy draws nothing
+        if span < 0 or span >= _MASK32:
+            # <0 raises; ==2**32-1 and 64-bit spans use different C
+            # paths — delegate all of them.
+            return self._delegate("integers", low, high)
         return lo + self._lemire32(span + 1)
 
     def _lemire32(self, span_excl: int) -> int:
         """One bounded draw from ``[0, span_excl)`` — numpy's Lemire
         rejection over 32-bit halves (``span_excl`` must fit 32 bits;
-        1 draws nothing, exactly like numpy's zero-width case).  Safe
-        on a direct-mode wrapper: it delegates instead of touching the
-        block machinery."""
+        1 draws nothing, exactly like numpy's zero-width case)."""
         if span_excl == 1:
             return 0
-        if self._direct:
-            return int(self.gen.integers(0, span_excl))
         m = self._next32() * span_excl
         leftover = m & _MASK32
         if leftover < span_excl:
@@ -234,6 +196,16 @@ class BufferedRNG:
     # ------------------------------------------------------------------
     # delegation machinery
     # ------------------------------------------------------------------
+    def _delegate(self, name: str, *args, **kwargs):
+        """Call the real generator's ``name`` at the logical stream
+        position: sync, call, then capture (a pending half word
+        installed by the sync survives double-only draws and must come
+        back under the wrapper's ownership)."""
+        self._sync()
+        out = getattr(self.gen, name)(*args, **kwargs)
+        self._capture()
+        return out
+
     def _sync(self) -> None:
         """Make the real generator's state equal the logical stream
         position (rewind unconsumed pre-draws, install a pending half
@@ -241,16 +213,9 @@ class BufferedRNG:
         history would have drawn."""
         leftover = self._n - self._i
         if leftover:
-            consumed = self._i
             # One double = one 64-bit PCG64 step; step back past the
             # unconsumed tail (advance is modulo 2**128).
             self._bit.advance(_2POW128 - leftover)
-            if consumed < _POOR_SYNC:
-                self._poor_syncs += 1
-                if self._poor_syncs >= _DIRECT_AFTER:
-                    self._direct = True
-            else:
-                self._poor_syncs = 0
         self._raw = None
         self._dbuf = []
         self._i = 0
@@ -265,10 +230,7 @@ class BufferedRNG:
     def _capture(self) -> None:
         """Take ownership of the real generator's buffered half word
         after a delegated call, so later emulated draws consume it first
-        — exactly as a scalar-only history would.  (In direct mode the
-        real generator keeps its own buffer.)"""
-        if self._direct:
-            return
+        — exactly as a scalar-only history would."""
         state = self._bit.state
         if state["has_uint32"]:
             self._has32 = True
@@ -277,29 +239,9 @@ class BufferedRNG:
             state["uinteger"] = 0
             self._bit.state = state
 
-    # -- delegated distributions (sync first, then capture: a pending
-    # half word installed by the sync survives double-only draws and
-    # must come back under the wrapper's ownership) ---------------------
-    def uniform(self, *args, **kwargs):
-        if self._direct:
-            return self.gen.uniform(*args, **kwargs)
-        self._sync()
-        out = self.gen.uniform(*args, **kwargs)
-        self._capture()
-        return out
-
-    def dirichlet(self, *args, **kwargs):
-        if self._direct:
-            return self.gen.dirichlet(*args, **kwargs)
-        self._sync()
-        out = self.gen.dirichlet(*args, **kwargs)
-        self._capture()
-        return out
-
     def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
         if (
-            not self._direct
-            and replace is False
+            replace is False
             and p is None
             and shuffle
             and axis == 0
@@ -323,44 +265,16 @@ class BufferedRNG:
                 j = self._lemire32(i + 1)
                 idx[i], idx[j] = idx[j], idx[i]
             return np.array(idx, dtype=np.int64)
-        if self._direct:
-            return self.gen.choice(
-                a, size=size, replace=replace, p=p, axis=axis, shuffle=shuffle
-            )
-        self._sync()
-        out = self.gen.choice(
-            a, size=size, replace=replace, p=p, axis=axis, shuffle=shuffle
+        return self._delegate(
+            "choice", a, size=size, replace=replace, p=p, axis=axis,
+            shuffle=shuffle,
         )
-        self._capture()
-        return out
-
-    def permutation(self, *args, **kwargs):
-        if self._direct:
-            return self.gen.permutation(*args, **kwargs)
-        self._sync()
-        out = self.gen.permutation(*args, **kwargs)
-        self._capture()
-        return out
-
-    def shuffle(self, *args, **kwargs):
-        if self._direct:
-            return self.gen.shuffle(*args, **kwargs)
-        self._sync()
-        out = self.gen.shuffle(*args, **kwargs)
-        self._capture()
-        return out
 
     def __getattr__(self, name):
-        # Rare path: any other Generator attribute.  Sync so even a
-        # stored bound method observes a consistent stream; capture
-        # conservatively in case the call buffers a half word.
-        self._sync()
+        # Any other Generator attribute.  A method delegates when it is
+        # called, so one stored before later draws stays on the stream.
         attr = getattr(self.gen, name)
         if callable(attr):
-            def call_and_capture(*args, **kwargs):
-                out = attr(*args, **kwargs)
-                self._capture()
-                return out
-
-            return call_and_capture
+            return partial(self._delegate, name)
+        self._sync()
         return attr

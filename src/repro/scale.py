@@ -12,7 +12,6 @@ every harness can be run at ``smoke`` (CI), ``default`` (interactive) or
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .errors import ReproError
@@ -73,10 +72,6 @@ class Scale:
                 f"unknown litmus backend {self.litmus_backend!r}; "
                 "choose from direct, engine, vector"
             )
-
-    def with_jobs(self, jobs: int) -> "Scale":
-        """Copy of this preset with a different worker count."""
-        return dataclasses.replace(self, jobs=jobs)
 
 
 SMOKE = Scale(

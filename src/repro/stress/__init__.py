@@ -17,7 +17,6 @@ from .strategies import (
     spec_from_json,
     spec_to_json,
 )
-from .randomisation import randomise_thread_ids
 from .environment import TestingEnvironment, standard_environments
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "TunedStress",
     "spec_to_json",
     "spec_from_json",
-    "randomise_thread_ids",
     "TestingEnvironment",
     "standard_environments",
 ]

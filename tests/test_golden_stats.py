@@ -490,6 +490,6 @@ def test_campaign_cell_matches_pre_batch_engine(jobs):
 def test_all_three_tests_still_distinct():
     """Sanity guard: the three idioms remain distinct workloads (the
     golden table is not accidentally testing one program thrice)."""
-    assert MP.thread0 != LB.thread0
-    assert SB.thread0 != MP.thread0
+    assert MP.threads[0] != LB.threads[0]
+    assert SB.threads[0] != MP.threads[0]
     assert {t.name for t in (MP, LB, SB)} == {"MP", "LB", "SB"}

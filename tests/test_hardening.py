@@ -211,6 +211,9 @@ class TestEndToEnd:
         assert result.converged
         assert result.reduced == app.required_sites()
         assert result.initial_fences == len(app.sites())
+        # The run count pins the per-run check seeds: shifting them by
+        # one changes it.
+        assert result.check_runs == 126
 
     @pytest.mark.slow
     def test_cbe_ht_converges_to_single_fence(self, titan):
@@ -218,6 +221,7 @@ class TestEndToEnd:
         result = empirical_fence_insertion(app, titan, scale=FAST, seed=1)
         assert result.converged
         assert len(result.reduced) == 1
+        assert result.check_runs == 99
 
     @pytest.mark.slow
     def test_result_row_shape(self, titan):

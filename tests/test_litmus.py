@@ -57,15 +57,15 @@ class TestDefinitions:
 class TestLayout:
     def test_distance_zero_means_contiguous(self, k20):
         inst = LitmusInstance.layout(k20, MP, 0)
-        assert inst.y_addr == inst.x_addr + 1
+        assert inst.addr("y") == inst.addr("x") + 1
 
     def test_distance_respected(self, k20):
         inst = LitmusInstance.layout(k20, MP, 96)
-        assert inst.y_addr - inst.x_addr == 96
+        assert inst.addr("y") - inst.addr("x") == 96
 
     def test_scratchpad_disjoint_from_comm(self, k20):
         inst = LitmusInstance.layout(k20, MP, 64)
-        assert inst.scratch_base > inst.y_addr
+        assert inst.scratch_base > inst.addr("y")
 
     def test_scratchpad_channel_aligned(self, k20):
         inst = LitmusInstance.layout(k20, MP, 64)

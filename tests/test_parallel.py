@@ -209,7 +209,9 @@ class TestTuningDeterminism:
             executions=8,
         )
         serial = scan_patches(titan, scale, seed=3)
-        via_scale = scan_patches(titan, scale.with_jobs(4), seed=3)
+        via_scale = scan_patches(
+            titan, dataclasses.replace(scale, jobs=4), seed=3
+        )
         assert serial.counts == via_scale.counts
 
 

@@ -69,12 +69,6 @@ class TestDerived:
         many = StressField.uniform(k20, 1.0)
         assert many.turbulence < two.turbulence
 
-    def test_effective_includes_cross_channel(self, k20):
-        field = StressField.from_locations(k20, 0, [0], 1.0, 640)
-        primary = field.effective(0, 1)
-        secondary = field.effective(1, 0)
-        assert primary > secondary > 0
-
     @given(threads=st.integers(1, 5000), n_locs=st.integers(1, 8))
     def test_property_more_threads_never_less_pressure(
         self, threads, n_locs

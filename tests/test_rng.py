@@ -7,7 +7,7 @@ import random as pyrandom
 import numpy as np
 import pytest
 
-from repro.rng import BufferedRNG, derive_seed, make_rng, spawn
+from repro.rng import BufferedRNG, derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -51,14 +51,6 @@ class TestMakeRng:
         assert isinstance(make_rng(0), np.random.Generator)
 
 
-class TestSpawn:
-    def test_spawn_decouples(self):
-        parent = make_rng(3)
-        child = spawn(parent)
-        assert isinstance(child, np.random.Generator)
-        assert child.integers(1 << 30) != parent.integers(1 << 30) or True
-
-
 class TestBufferedRNGStreamExactness:
     """BufferedRNG's draw-order contract: every mix of emulated and
     delegated draws consumes the PCG64 stream exactly like a plain
@@ -74,7 +66,7 @@ class TestBufferedRNGStreamExactness:
     def test_scalar_integers_matches_generator(self):
         ref = np.random.default_rng(9)
         buf = BufferedRNG(np.random.default_rng(9))
-        for bound in (24, 2, 5, 1000, 13313):
+        for bound in (24, 2, 1, 5, 1000, 13313):
             got = [buf.integers(0, bound) for _ in range(50)]
             want = [int(ref.integers(0, bound)) for _ in range(50)]
             assert got == want, bound
@@ -85,14 +77,6 @@ class TestBufferedRNGStreamExactness:
         assert [buf._lemire32(24) for _ in range(100)] == [
             int(ref.integers(0, 24)) for _ in range(100)
         ]
-
-    def test_lemire32_delegates_in_direct_mode(self):
-        ref = np.random.default_rng(12)
-        buf = BufferedRNG(np.random.default_rng(12), direct=True)
-        assert [buf._lemire32(24) for _ in range(50)] == [
-            int(ref.integers(0, 24)) for _ in range(50)
-        ]
-        assert buf.random() == ref.random()
 
     def test_choice_without_replacement_matches_generator(self):
         for seed in range(30):
@@ -114,8 +98,8 @@ class TestBufferedRNGStreamExactness:
         buf = BufferedRNG(np.random.default_rng(1234 + seed))
         for _ in range(300):
             op = py.choice(
-                ["random", "random", "random", "i24", "ibig", "uniform",
-                 "choice", "vec"]
+                ["random", "random", "random", "i24", "ibig", "i1",
+                 "uniform", "choice", "perm", "vec"]
             )
             if op == "random":
                 assert buf.random() == ref.random()
@@ -123,6 +107,8 @@ class TestBufferedRNGStreamExactness:
                 assert buf.integers(0, 24) == int(ref.integers(0, 24))
             elif op == "ibig":
                 assert buf.integers(7, 13313) == int(ref.integers(7, 13313))
+            elif op == "i1":
+                assert buf.integers(1) == int(ref.integers(1))
             elif op == "uniform":
                 assert buf.uniform(0.35, 0.95) == ref.uniform(0.35, 0.95)
             elif op == "choice":
@@ -130,6 +116,8 @@ class TestBufferedRNGStreamExactness:
                     buf.choice(64, size=2, replace=False).tolist()
                     == ref.choice(64, size=2, replace=False).tolist()
                 )
+            elif op == "perm":
+                assert buf.permutation(9).tolist() == ref.permutation(9).tolist()
             else:
                 assert buf.random(size=5).tolist() == ref.random(size=5).tolist()
 
@@ -156,49 +144,54 @@ class TestBufferedRNGStreamExactness:
         buf = BufferedRNG(np.random.default_rng(6))
         assert buf.standard_normal() == ref.standard_normal()
 
-    def test_spawn_through_wrapper(self):
-        a = spawn(BufferedRNG(make_rng(3)))
-        b = spawn(make_rng(3))
-        assert a.random() == b.random()
+    def test_stored_delegated_method_stays_on_stream(self):
+        """A delegated method syncs when it is called, not when it is
+        looked up, so draws made in between are not replayed."""
+        ref = np.random.default_rng(6)
+        buf = BufferedRNG(np.random.default_rng(6))
+        draw = buf.standard_normal
+        for _ in range(3):
+            assert buf.random() == ref.random()
+        assert draw() == ref.standard_normal()
+        assert buf.random() == ref.random()
 
+    def test_one_value_integers_leave_the_block_untouched(self):
+        """A range holding one value returns ``low`` and draws nothing,
+        as numpy does, so the pre-draw block stays in place."""
+        ref = np.random.default_rng(8)
+        buf = BufferedRNG(np.random.default_rng(8))
+        assert buf.random() == ref.random()
+        assert buf.integers(0, 24) == int(ref.integers(0, 24))
+        block = (buf._i, buf._n)
+        assert buf.integers(1) == int(ref.integers(1)) == 0
+        assert buf.integers(5, 6) == int(ref.integers(5, 6)) == 5
+        assert (buf._i, buf._n) == block
+        assert buf.integers(0, 24) == int(ref.integers(0, 24))
+        assert buf.random() == ref.random()
 
-class TestBufferedRNGDegrade:
-    def test_degrades_to_direct_on_tight_interleaving(self):
+    def test_tight_interleaving_stays_on_stream(self):
         buf = BufferedRNG(np.random.default_rng(0))
         ref = np.random.default_rng(0)
-        # Alternate one buffered draw with one delegated draw: after a
-        # few poor syncs the wrapper must flip to direct mode...
+        # Alternate one buffered draw with one delegated draw, so every
+        # sync rewinds almost a whole block...
         for _ in range(20):
             assert buf.random() == ref.random()
             assert buf.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
-        assert buf._direct
         # ...and stay stream-exact afterwards.
         assert [buf.random() for _ in range(10)] == [
             ref.random() for _ in range(10)
         ]
         assert buf.integers(0, 24) == int(ref.integers(0, 24))
 
-    def test_direct_mode_construction(self):
-        buf = BufferedRNG(np.random.default_rng(1), direct=True)
-        ref = np.random.default_rng(1)
-        assert buf.random() == ref.random()
-        assert int(buf.integers(0, 24)) == int(ref.integers(0, 24))
 
-    def test_non_pcg64_generators_run_direct(self):
-        """The emulation is PCG64-specific; other bit generators must
-        fall back to pure delegation and stay stream-exact."""
-        buf = BufferedRNG(np.random.Generator(np.random.MT19937(3)))
-        ref = np.random.Generator(np.random.MT19937(3))
-        assert buf._direct
-        assert [buf.random() for _ in range(5)] == [
-            ref.random() for _ in range(5)
-        ]
-        assert int(buf.integers(0, 24)) == int(ref.integers(0, 24))
-        assert buf.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
-        assert (
-            buf.choice(64, size=2, replace=False).tolist()
-            == ref.choice(64, size=2, replace=False).tolist()
-        )
+class TestBufferedRNGConstruction:
+    def test_non_pcg64_generators_are_refused(self):
+        """The emulation is PCG64-specific: any other bit generator,
+        and a wrapper passed in for its generator, is a type error."""
+        with pytest.raises(TypeError, match="PCG64"):
+            BufferedRNG(np.random.Generator(np.random.MT19937(3)))
+        with pytest.raises(TypeError, match="PCG64"):
+            BufferedRNG(BufferedRNG(np.random.default_rng(3)))
 
 
 class TestBufferedRNGInEngine:

@@ -1,4 +1,4 @@
-"""Tests for sequences, strategies, randomisation and environments."""
+"""Tests for sequences, strategies and environments."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,9 @@ from repro.stress import (
     all_sequences,
     format_sequence,
     parse_sequence,
-    randomise_thread_ids,
     standard_environments,
 )
 from repro.stress.environment import ENVIRONMENT_ORDER
-from repro.stress.randomisation import respects_blocks, respects_warps
 from repro.stress.strategies import with_threads_range
 from repro.tuning import shipped_params
 
@@ -127,39 +125,6 @@ class TestStrategies:
                                   (8, 16))
         assert spec.threads_range == (8, 16)
         assert with_threads_range(NoStress(), (8, 16)) == NoStress()
-
-
-class TestRandomisation:
-    @pytest.mark.parametrize(
-        "grid,block,warp", [(4, 32, 32), (8, 16, 8), (2, 10, 4), (1, 8, 8)]
-    )
-    def test_permutation_is_bijective(self, grid, block, warp, rng):
-        perm = randomise_thread_ids(grid, block, warp, rng)
-        assert sorted(perm) == list(range(grid * block))
-
-    @given(
-        grid=st.integers(1, 6),
-        block_warps=st.integers(1, 4),
-        warp=st.sampled_from([4, 8]),
-        seed=st.integers(0, 1000),
-    )
-    def test_property_respects_membership(
-        self, grid, block_warps, warp, seed
-    ):
-        block = block_warps * warp
-        rng = np.random.default_rng(seed)
-        perm = randomise_thread_ids(grid, block, warp, rng)
-        assert respects_blocks(perm, grid, block)
-        assert respects_warps(perm, grid, block, warp)
-
-    def test_tail_warp_stays_in_place(self, rng):
-        grid, block, warp = 2, 10, 4  # tail warp of 2 threads
-        perm = randomise_thread_ids(grid, block, warp, rng)
-        assert respects_warps(perm, grid, block, warp)
-
-    def test_bad_dims_rejected(self, rng):
-        with pytest.raises(ValueError):
-            randomise_thread_ids(0, 8, 8, rng)
 
 
 class TestEnvironments:
