@@ -1,7 +1,7 @@
 """Figure 4: spread finding for 980 and K20 (Sec. 3.4).
 
-The spread-scoring grid inherits ``REPRO_BENCH_JOBS`` through the
-scale's ``jobs`` knob; scores are identical at any job count.
+The spread-scoring grid is sharded across ``REPRO_BENCH_JOBS`` worker
+processes; scores are identical at any job count.
 """
 
 import pytest
@@ -12,12 +12,12 @@ from repro.tuning.spread import score_spreads, select_spread
 
 
 @pytest.mark.parametrize("chip_name", ["980", "K20"])
-def test_fig4_spread(benchmark, tiny_scale, chip_name):
+def test_fig4_spread(benchmark, tiny_scale, bench_parallel, chip_name):
     chip = get_chip(chip_name)
     scores = benchmark.pedantic(
         score_spreads,
         args=(chip, chip.patch_size, chip.best_sequence, tiny_scale),
-        kwargs={"seed": 6},
+        kwargs={"seed": 6, "parallel": bench_parallel},
         rounds=1,
         iterations=1,
     )

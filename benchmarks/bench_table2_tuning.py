@@ -5,8 +5,8 @@ one Kepler and one Fermi chip and checks the result against the paper's
 Table 2 row (which our ``shipped_params`` mirrors).  The full 7-chip
 table is available via ``gpu-wmm experiment table2 --scale default``.
 
-The tuning grids inherit ``REPRO_BENCH_JOBS`` through the scale's
-``jobs`` knob; the discovered parameters are identical at any job count.
+The tuning grids are sharded across ``REPRO_BENCH_JOBS`` worker
+processes; the discovered parameters are identical at any job count.
 """
 
 import dataclasses
@@ -19,14 +19,15 @@ from repro.tuning import shipped_params, tune_chip
 
 
 @pytest.mark.parametrize("chip_name", ["Titan", "C2075"])
-def test_table2_pipeline(benchmark, tiny_scale, chip_name):
+def test_table2_pipeline(benchmark, tiny_scale, bench_parallel, chip_name):
     chip = get_chip(chip_name)
     scale = dataclasses.replace(
         tiny_scale,
         max_sequence_length=4 if chip_name in ("Titan", "C2075") else 5,
     )
     result = benchmark.pedantic(
-        tune_chip, args=(chip, scale), kwargs={"seed": 5},
+        tune_chip, args=(chip, scale),
+        kwargs={"seed": 5, "parallel": bench_parallel},
         rounds=1, iterations=1,
     )
     print()

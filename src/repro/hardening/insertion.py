@@ -24,11 +24,11 @@ from ..apps.base import Application, ApplicationBatch
 from ..chips.profile import HardwareProfile
 from ..errors import FenceInsertionError
 from ..parallel import (
+    SERIAL,
     CheckShard,
     ParallelConfig,
     merge_check_shards,
     parallel_map,
-    resolve_config,
     shard_ranges,
 )
 from ..rng import derive_seed
@@ -122,7 +122,7 @@ class EmpiricalFenceInserter:
         self.scale = scale
         self.seed = seed
         self.max_restarts = max_restarts
-        self.parallel = resolve_config(parallel, scale)
+        self.parallel = parallel or SERIAL
         self.environment = TestingEnvironment(
             strategy=TunedStress(shipped_params(chip.short_name)),
             randomise=True,

@@ -33,11 +33,11 @@ from ..gpu.addresses import AddressSpace
 from ..gpu.events import STALL
 from ..gpu.memory import MemorySystem
 from ..parallel import (
+    SERIAL,
     LitmusShard,
     ParallelConfig,
     merge_litmus_shards,
     parallel_map,
-    resolve_config,
     shard_ranges,
 )
 from ..rng import BufferedRNG, derive_seed, make_rng
@@ -282,20 +282,12 @@ def _one_round_ldst2(
                     names.append(ins[2])
                     handles.append(issue(sm1, 1, ins[1]))
                     pc1 += 1
-        # mem.step(), inlined, with the single-SM fast path of
-        # MemorySystem._step_buffers (keep the three copies in sync:
-        # here, _step_buffers, and MemorySystem.drain_until).
+        # mem.step(), inlined to skip a frame per tick.
         mem.tick += 1
         if mem._deferred:
             mem._step_deferred()
         if mem._n_buffered:
-            nonempty = mem._nonempty
-            if len(nonempty) == 1:
-                for sm in nonempty:
-                    break
-                mem._step_buffer(sm, mem.sm_buffers[sm])
-            else:
-                mem._step_buffers()
+            mem._step_buffers()
 
     mem.drain_until(handles, _DRAIN_TICKS)
     mem.flush_all()
@@ -550,7 +542,7 @@ def _run_backend(
     sink)`` and seeds from global indices, so every sharding yields the
     same result, outcome histogram included.
     """
-    config = resolve_config(parallel)
+    config = parallel or SERIAL
     instance = LitmusInstance.layout(profile, test, distance)
     n_blocks = -(-executions // block)
     shards = parallel_map(

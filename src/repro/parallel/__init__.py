@@ -26,7 +26,6 @@ from .executor import (
     close_shared_pools,
     jobs_arg,
     parallel_map,
-    resolve_config,
     shard_ranges,
     shared_pool,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ParallelConfig",
     "SERIAL",
     "parallel_map",
-    "resolve_config",
     "shard_ranges",
     "shared_pool",
     "close_shared_pools",

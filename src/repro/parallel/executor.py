@@ -74,19 +74,6 @@ def jobs_arg(value: str) -> int:
     return n
 
 
-def resolve_config(parallel: ParallelConfig | None, scale=None) -> ParallelConfig:
-    """Effective configuration for a harness call.
-
-    An explicit ``parallel`` argument wins; otherwise the ``jobs`` knob
-    of the supplied :class:`~repro.scale.Scale` (when present) is used,
-    falling back to serial execution.
-    """
-    if parallel is not None:
-        return parallel
-    jobs = getattr(scale, "jobs", 1) if scale is not None else 1
-    return SERIAL if jobs == 1 else ParallelConfig(jobs=jobs)
-
-
 def shard_ranges(
     n: int, config: ParallelConfig
 ) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ from ..litmus.tests import ALL_TESTS, TUNING_TESTS, get_test
 from ..litmus.units import litmus_unit
 from ..stress.strategies import NoStress, TunedStress
 from ..errors import LedgerError
-from ..parallel import ParallelConfig, resolve_config
+from ..parallel import SERIAL, ParallelConfig
 from ..scale import DEFAULT, Scale, get_scale
 from ..store import RunLedger, litmus_key, stress_token, submit_units
 from ..store import records as store_records
@@ -347,7 +347,7 @@ def survey(
         )
     executions = max(20, scale.executions)
     chip_objs = [get_chip(c) for c in chips]
-    config = resolve_config(parallel, scale)
+    config = parallel or SERIAL
     units = []
     for test in selected:
         for chip in chip_objs:
@@ -480,7 +480,7 @@ def run_experiment(
 
     ``jobs`` shards the experiment's run loops over worker processes
     (``0`` = one per CPU); the regenerated artefact is identical at any
-    job count.  ``None`` defers to the scale's ``jobs`` knob.
+    job count.  ``None`` runs serially.
 
     ``out`` / ``resume`` attach a run ledger (see :mod:`repro.store`):
     completed results persist as they stream in, already-ledgered keys
@@ -505,9 +505,7 @@ def run_experiment(
     run_args = {
         "scale": scale,
         "seed": seed,
-        "parallel": resolve_config(
-            ParallelConfig(jobs=jobs) if jobs is not None else None, scale
-        ),
+        "parallel": None if jobs is None else ParallelConfig(jobs=jobs),
         "ledger": open_ledger(out, resume),
         "submit": submit,
     }

@@ -33,12 +33,6 @@ class Scale:
     * ``campaign_runs`` — executions per (chip, app, environment) cell,
       standing in for the paper's one-hour wall-clock budget.
     * ``stability_runs`` — executions for an ``EmpiricallyStable`` check.
-    * ``jobs`` — worker processes for the parallel subsystem
-      (:mod:`repro.parallel`); ``1`` = serial, ``0`` = one per CPU.
-      Results are identical at any job count; only wall-clock changes.
-      Distributed execution is chosen per run instead, by the
-      ``submit`` backend passed to
-      :func:`~repro.reporting.experiments.run_experiment`.
     * ``litmus_backend`` — which litmus runner the survey-style
       experiments use (``direct``, ``engine`` or ``vector``).  The
       vector backend trades draw-identical scalar semantics for
@@ -63,7 +57,6 @@ class Scale:
     seq_executions: int = 32
     spread_distance_step: int = 64
     spread_executions: int = 48
-    jobs: int = 1
     litmus_backend: str = "direct"
 
     def __post_init__(self) -> None:

@@ -24,12 +24,12 @@ from ..apps.registry import all_applications, get_application
 from ..chips.profile import HardwareProfile
 from ..chips.registry import get_chip
 from ..parallel import (
+    SERIAL,
     CellShard,
     ParallelConfig,
     WorkUnit,
     merge_cell_shards,
     register_executor,
-    resolve_config,
     shard_ranges,
 )
 from ..rng import derive_seed
@@ -257,7 +257,7 @@ def run_cell(
     submit: Callable | None = None,
 ) -> CampaignCell:
     """Run one campaign cell (one table entry of the raw data)."""
-    config = resolve_config(parallel)
+    config = parallel or SERIAL
     return _run_grid(
         [(chip, app, env)], runs, seed, config, ledger, submit
     )[0]
@@ -294,7 +294,7 @@ def run_campaign(
     workers instead of the local pool; results are identical by the
     seeding contract.
     """
-    config = resolve_config(parallel, scale)
+    config = parallel or SERIAL
     if apps is None:
         apps = all_applications()
     grid: list[tuple[HardwareProfile, Application, TestingEnvironment]] = []

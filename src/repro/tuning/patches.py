@@ -20,7 +20,7 @@ from typing import Callable
 from ..chips.profile import HardwareProfile
 from ..litmus import TUNING_TESTS, LitmusTest
 from ..litmus.units import litmus_unit
-from ..parallel import ParallelConfig, resolve_config
+from ..parallel import SERIAL, ParallelConfig
 from ..rng import derive_seed
 from ..scale import DEFAULT, Scale
 from ..store import litmus_grid_counts, litmus_key
@@ -73,7 +73,7 @@ def scan_patches(
     With ``ledger`` every finished point persists as a litmus record,
     so an interrupted scan resumes at the first missing point.
     """
-    config = resolve_config(parallel, scale)
+    config = parallel or SERIAL
     distances = tuple(range(0, scale.max_distance, scale.distance_step))
     locations = tuple(range(0, scale.max_location, scale.location_step))
     scan = PatchScan(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..chips.profile import HardwareProfile
 from ..chips.registry import get_chip
-from ..parallel import ParallelConfig, resolve_config
+from ..parallel import ParallelConfig
 from ..scale import DEFAULT, Scale
 from ..stress.config import StressConfig
 from .access import SequenceScores, score_sequences, select_sequence
@@ -62,20 +62,18 @@ def tune_chip(
     first missing point (each point derives its seed from its own
     coordinates, so the resumed tables are bit-identical).
     """
-    parallel_config = resolve_config(parallel, scale)
     started = time.perf_counter()
     scan = scan_patches(
-        chip, scale, seed, parallel=parallel_config, ledger=ledger,
-        submit=submit,
+        chip, scale, seed, parallel=parallel, ledger=ledger, submit=submit,
     )
     patch, per_test = critical_patch_size(scan)
     seq_scores = score_sequences(
-        chip, patch, scale, seed, parallel=parallel_config, ledger=ledger,
+        chip, patch, scale, seed, parallel=parallel, ledger=ledger,
         submit=submit,
     )
     sequence = select_sequence(seq_scores)
     spread_scores = score_spreads(
-        chip, patch, sequence, scale, seed, parallel=parallel_config,
+        chip, patch, sequence, scale, seed, parallel=parallel,
         ledger=ledger, submit=submit,
     )
     spread = select_spread(spread_scores)

@@ -16,7 +16,7 @@ from typing import Callable
 from ..chips.profile import HardwareProfile
 from ..litmus import TUNING_TESTS
 from ..litmus.units import litmus_unit
-from ..parallel import ParallelConfig, resolve_config
+from ..parallel import SERIAL, ParallelConfig
 from ..rng import derive_seed
 from ..scale import DEFAULT, Scale
 from ..store import litmus_grid_counts, litmus_key
@@ -58,7 +58,7 @@ def score_spreads(
     identical to a serial run.  ``ledger`` checkpoints each finished
     point for exact resumption.
     """
-    config = resolve_config(parallel, scale)
+    config = parallel or SERIAL
     distances = tuple(
         range(0, scale.max_distance, scale.spread_distance_step)
     )

@@ -51,6 +51,7 @@ from repro.errors import (
     WorkerExitError,
 )
 from repro.faults import (
+    ChaosReport,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -978,6 +979,38 @@ class TestChaosHarness:
         summary = report.summary()
         assert "IDENTICAL" in summary
         assert poison in summary
+
+    def test_summary_lists_quarantined_keys_not_reasons(self):
+        """A quarantine reason names the failed workers by connection id
+        in arrival order, which differs between runs; the printed
+        summary carries the sorted keys only, so it is reproducible."""
+
+        def summary(reason):
+            return ChaosReport(
+                experiment="table5",
+                plan=_plan(),
+                serial_text="table",
+                chaos_text="table",
+                final_text="table",
+                identical=True,
+                quarantined={"unit-b": reason, "unit-a": reason},
+                trace=[],
+                ledger_problems=[],
+                salvage=None,
+            ).summary()
+
+        first = summary(
+            "3 failed attempts across worker(s) "
+            "[local-0#conn-4, local-1#conn-5]; last: boom"
+        )
+        second = summary(
+            "3 failed attempts across worker(s) [local-0#conn-5]; "
+            "last: boom"
+        )
+        assert first == second
+        assert "unit-a" in first
+        assert first.index("unit-a") < first.index("unit-b")
+        assert "#conn-" not in first
 
 
 class TestCLI:

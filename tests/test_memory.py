@@ -294,32 +294,16 @@ class TestWeakBehaviourStatistics:
         assert swaps == 0
 
 
-def buffer_indices_consistent(mem):
-    """Recompute the buffer-membership mirrors from scratch and compare
-    against the incrementally maintained ones."""
-    by_thread = {}
-    by_thread_ch = {}
-    by_addr = {}
-    total = 0
-    nonempty = set()
-    for sm, buf in enumerate(mem.sm_buffers):
-        for t, a, _v, c, _tick, _p in buf:
-            total += 1
-            nonempty.add(sm)
-            by_thread[(sm, t)] = by_thread.get((sm, t), 0) + 1
-            by_thread_ch[(sm, t, c)] = by_thread_ch.get((sm, t, c), 0) + 1
-            by_addr[(sm, a)] = by_addr.get((sm, a), 0) + 1
-    return (
-        total == mem.pending_stores()
-        and nonempty == mem._nonempty
-        and by_thread == mem._by_thread
-        and by_thread_ch == mem._by_thread_ch
-        and by_addr == mem._by_addr
-    )
+def drain_counters_consistent(mem):
+    """Recompute the drain-pump counters from the buffers themselves
+    and compare against the incrementally maintained ones."""
+    total = sum(len(buf) for buf in mem.sm_buffers)
+    nonempty = {sm for sm, buf in enumerate(mem.sm_buffers) if buf}
+    return total == mem.pending_stores() and nonempty == mem._nonempty
 
 
 class TestBufferIndices:
-    """The O(1) membership mirrors must track the buffers through every
+    """The drain-pump counters must track the buffers through every
     removal path (head drain, swap, rmw, fencing, drain_thread, flush)."""
 
     def test_consistent_under_random_workload(self):
@@ -349,9 +333,9 @@ class TestBufferIndices:
                     mem.fence_done(sm, thread)
                 else:
                     mem.step()
-                assert buffer_indices_consistent(mem)
+                assert drain_counters_consistent(mem)
             mem.flush_all()
-            assert buffer_indices_consistent(mem)
+            assert drain_counters_consistent(mem)
             assert mem.pending_stores() == 0
 
     def test_rmw_commits_multiple_same_address_stores_in_order(self):
@@ -364,7 +348,7 @@ class TestBufferIndices:
         assert old == 20
         assert mem.mem[50] == 21
         assert mem.pending_stores() == 1  # the unrelated store remains
-        assert buffer_indices_consistent(mem)
+        assert drain_counters_consistent(mem)
 
     def test_fencing_drain_preserves_order_and_other_threads(self):
         mem = make_mem()
@@ -376,18 +360,18 @@ class TestBufferIndices:
         # The fencing thread's stores are committed immediately; the
         # other thread's store stays subject to the normal drain roll.
         assert mem.mem[0] == 1 and mem.mem[128] == 3
-        assert not mem._by_thread.get((0, 0))
+        assert not mem.thread_pending(0, 0)
         assert mem.pending_stores() in (0, 1)
-        assert buffer_indices_consistent(mem)
+        assert drain_counters_consistent(mem)
 
     def test_drain_thread_no_op_without_stores(self):
         mem = make_mem()
         mem.write(0, 1, 0, 5)
         mem.drain_thread(0, 0)  # thread 0 has nothing buffered
         assert mem.pending_stores() == 1
-        assert buffer_indices_consistent(mem)
+        assert drain_counters_consistent(mem)
 
-    def test_unblocked_uses_counts(self):
+    def test_unblocked_follows_buffer(self):
         mem = make_mem("sc-ref")
         mem.write(0, 0, 0, 9)
         handle = mem.issue_load(0, 0, 1)  # same channel -> blocked
@@ -395,6 +379,53 @@ class TestBufferIndices:
         assert not mem._unblocked(handle)
         drain(mem)
         assert mem._unblocked(handle)
+
+    @pytest.mark.parametrize("op", ["read", "issue_load"])
+    def test_one_pass_scan_precedence(self, op):
+        """Forwarding beats same-channel FIFO, FIFO beats the bypass
+        candidate (the thread's latest entry), and only the loading
+        thread's own entries hold its load back."""
+
+        def load(mem, addr):
+            if op == "read":
+                return mem.read(0, 0, addr, {})
+            return mem.issue_load(0, 0, addr)
+
+        # (a) Thread 1's buffered store to 1 is forwarded to thread 0,
+        # whose own store to 0 sits on the same channel, whichever of
+        # the two is younger.
+        for stores in ([(0, 0, 9), (1, 1, 5)], [(1, 1, 5), (0, 0, 9)]):
+            mem = make_mem()
+            for thread, addr, val in stores:
+                mem.write(0, thread, addr, val)
+            got = load(mem, 1)
+            if op == "read":
+                assert got == 5
+            else:
+                assert got.resolved and got.value == 5
+        # (b) Thread 0's older store shares the load's channel, its
+        # latest is on another channel: same-channel FIFO holds it back.
+        mem = make_mem()
+        other = mem.profile.patch_size
+        assert mem.profile.channel(other) != mem.profile.channel(1)
+        mem.write(0, 0, 0, 9)
+        mem.write(0, 0, other, 7)
+        got = load(mem, 1)
+        if op == "read":
+            assert got is STALL
+        else:
+            assert not got.resolved and got.block_mode == ("channel", 0)
+        # (c) Only thread 1 has a same-channel store: thread 0 reads
+        # memory, unconstrained.
+        mem = make_mem()
+        mem.mem[1] = 3
+        mem.write(0, 1, 0, 9)
+        got = load(mem, 1)
+        if op == "read":
+            assert got == 3
+        else:
+            assert got.block_mode is None
+            assert got.resolved and got.value == 3
 
 
 class TestReset:
@@ -439,7 +470,7 @@ class TestReset:
         assert mem.tick == 0
         assert mem._fencing == set()
         assert mem.n_drains == 0
-        assert buffer_indices_consistent(mem)
+        assert drain_counters_consistent(mem)
 
     def test_reset_swaps_weak_scale(self):
         chip = get_chip("K20")

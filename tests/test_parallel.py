@@ -27,7 +27,6 @@ from repro.parallel import (
     merge_check_shards,
     merge_litmus_shards,
     parallel_map,
-    resolve_config,
     shard_ranges,
 )
 from repro.rng import derive_seed
@@ -54,12 +53,6 @@ class TestParallelConfig:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ReproError):
             ParallelConfig(jobs=-1)
-
-    def test_resolve_config_prefers_explicit(self):
-        scale = dataclasses.replace(SMOKE, jobs=8)
-        assert resolve_config(JOBS4, scale) is JOBS4
-        assert resolve_config(None, scale).jobs == 8
-        assert resolve_config(None, None) is SERIAL
 
 
 class TestShardRanges:
@@ -198,21 +191,6 @@ class TestTuningDeterminism:
         sharded = scan_patches(titan, scale, seed=3, parallel=JOBS4)
         assert serial.counts == sharded.counts
         assert sum(serial.counts.values()) > 0
-
-    def test_scale_jobs_knob_feeds_the_grid(self, titan):
-        scale = dataclasses.replace(
-            SMOKE,
-            max_distance=64,
-            distance_step=32,
-            max_location=64,
-            location_step=32,
-            executions=8,
-        )
-        serial = scan_patches(titan, scale, seed=3)
-        via_scale = scan_patches(
-            titan, dataclasses.replace(scale, jobs=4), seed=3
-        )
-        assert serial.counts == via_scale.counts
 
 
 class TestCampaignDeterminism:
