@@ -60,6 +60,19 @@ class InvalidSequenceError(ReproError):
     """An access sequence string was not of the form (ld|st)+."""
 
 
+class ConditionTooLargeError(ReproError, ValueError):
+    """A forbidden outcome's disjunctive normal form would exceed its
+    term bound (``repro.litmus.ir.condition_dnf`` never truncates)."""
+
+    def __init__(self, condition: str, bound: int):
+        self.condition = condition
+        self.bound = bound
+        super().__init__(
+            f"condition {condition} has more than {bound} conjunctions "
+            "in disjunctive normal form"
+        )
+
+
 class InvalidStressConfigError(ReproError):
     """A stress configuration was internally inconsistent."""
 

@@ -57,6 +57,15 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   quadratic ``buf.remove(entry)``.
 * :meth:`MemorySystem.reset` restores the pristine post-construction
   state so one instance can serve an entire batch of executions.
+* ``repro/litmus/native.c`` is a second implementation of the subset a
+  two-thread ld/st litmus round reaches (``write``, ``issue_load``, the
+  deferred-load and store-buffer steps, ``_commit``/
+  ``_resolve_matching``, ``drain_until`` and ``flush_all``), draw for
+  draw.  A change to that subset changes the kernel too;
+  ``tests/test_native_litmus.py`` fails until the two agree.
+  :class:`MemoryTables` keeps the kernel's packed copy of the tables
+  in the same LRU entry, and :func:`native_chip` packs the constants
+  it reads off the profile.
 
 None of this changes a single random draw: every decision consumes the
 same generator stream, in the same order, as the original scan-based
@@ -65,9 +74,11 @@ implementation (the golden-statistics tests pin this).
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -109,7 +120,7 @@ _E_PARKED = 5
 
 #: LRU of precomputed probability tables, keyed by
 #: ``(chip cache token, pressure bytes, turbulence, weak_scale)``.
-_TABLE_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
+_TABLE_CACHE: OrderedDict[tuple, MemoryTables] = OrderedDict()
 _TABLE_CACHE_MAX = 512
 
 
@@ -126,15 +137,47 @@ def _bleed_matrix(n: int) -> np.ndarray:
     return bleed
 
 
+class MemoryTables(tuple):
+    """``(drain_p, swap_p, bypass_p, slow_p, resolve_p)`` as plain lists
+    (``swap_p`` is a list of rows), plus the same tables packed for the
+    native litmus kernel on first use, in the same LRU entry."""
+
+    @cached_property
+    def packed(self) -> bytes:
+        """The tables as C doubles in the kernel's order: ``drain_p``,
+        ``bypass_p``, ``slow_p``, ``resolve_p``, then ``swap_p`` row by
+        row (see ``repro/litmus/native.c``)."""
+        drain_p, swap_p, bypass_p, slow_p, resolve_p = self
+        return array(
+            "d", chain(drain_p, bypass_p, slow_p, resolve_p, *swap_p)
+        ).tobytes()
+
+
+def native_chip(profile: HardwareProfile, addrs) -> tuple[bytes, bytes]:
+    """The native litmus kernel's chip words and factors for locations at
+    ``addrs`` (see ``repro/litmus/native.c``): the constants the
+    store-buffer and deferred-load steps below read off the profile."""
+    chip = array("q", (
+        profile.n_channels,
+        profile.store_buffer_capacity * 8,  # MemorySystem._buf_cap
+        profile.store_store_min_distance,
+        _MIN_AGE,
+        _DRAIN_WIDTH,
+        *map(profile.channel, addrs),
+    ))
+    factors = array("d", (profile.store_swap_leak, _PARKED_DRAIN))
+    return chip.tobytes(), factors.tobytes()
+
+
 def memory_tables(
     profile: HardwareProfile, stress: StressField, weak_scale: float
-) -> tuple[list, list, list, list, list]:
-    """Per-channel probability tables for one (chip, field, scale).
+) -> MemoryTables:
+    """Per-channel probability tables for one (chip, field, scale), as
+    a :class:`MemoryTables`.
 
-    Returns ``(drain_p, swap_p, bypass_p, slow_p, resolve_p)`` as plain
-    lists (``swap_p`` is a list of rows).  The tables are deterministic
-    functions of the key, so memoization is invisible to the statistics;
-    they are shared between memory systems and must not be mutated.
+    The tables are deterministic functions of the key, so memoization is
+    invisible to the statistics; they are shared between memory systems
+    and must not be mutated.
     """
     key = (
         profile.cache_token,
@@ -152,7 +195,7 @@ def memory_tables(
 
 def _compute_tables(
     profile: HardwareProfile, stress: StressField, weak_scale: float
-) -> tuple[list, list, list, list, list]:
+) -> MemoryTables:
     prof, scale = profile, weak_scale
     n = prof.n_channels
     turb = stress.turbulence
@@ -193,13 +236,13 @@ def _compute_tables(
     )
     assert drain_p.shape == (n,)
 
-    return (
+    return MemoryTables((
         drain_p.tolist(),
         swap_p.tolist(),
         bypass_p.tolist(),
         slow_p.tolist(),
         resolve_p.tolist(),
-    )
+    ))
 
 
 class DeferredLoad:
@@ -637,24 +680,11 @@ class MemorySystem:
 
     def drain_until(self, handles, max_ticks: int) -> None:
         """Step until no stores are buffered and all ``handles`` are
-        resolved, or ``max_ticks`` elapse.
-
-        Exactly equivalent to the check-then-:meth:`step` loop it
-        replaces (same draws, same tick evolution); fusing the check
-        with the step body saves a :meth:`step` frame per tick.
-        """
+        resolved, or ``max_ticks`` elapse."""
         for _ in range(max_ticks):
-            if not self._n_buffered:
-                for h in handles:
-                    if not h.resolved:
-                        break
-                else:
-                    return
-            self.tick += 1
-            if self._deferred:
-                self._step_deferred()
-            if self._n_buffered:
-                self._step_buffers()
+            if not self._n_buffered and all(h.resolved for h in handles):
+                return
+            self.step()
 
     def _step_deferred(self) -> None:
         still = []

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConditionTooLargeError
+
 #: Instruction mnemonics (shared with :mod:`repro.gpu.events` where the
 #: compiled backend reuses the same strings for engine ops).
 I_STORE = "st"
@@ -153,6 +155,46 @@ def compile_condition(cond):
             f0, f1 = fns
             return lambda regs, final: f0(regs, final) or f1(regs, final)
         return lambda regs, final: any(f(regs, final) for f in fns)
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+#: Conjunctions :func:`condition_dnf` may produce before it refuses.
+DNF_MAX_TERMS = 4096
+
+
+def condition_dnf(cond) -> tuple:
+    """``cond`` in disjunctive normal form: a tuple of conjunctions, each
+    a tuple of :class:`RegEq`/:class:`LocEq` leaves.
+
+    The condition holds exactly when every leaf of some conjunction
+    holds, reading an absent register or location as 0, as
+    :func:`evaluate` does; ``And()`` is one empty conjunction (true) and
+    ``Or()`` none (false).  A condition whose form would exceed
+    ``DNF_MAX_TERMS`` conjunctions raises
+    :class:`~repro.errors.ConditionTooLargeError`; it is never
+    truncated.
+    """
+    if isinstance(cond, (RegEq, LocEq)):
+        return ((cond,),)
+    if isinstance(cond, Or):
+        out: list = []
+        for term in cond.terms:
+            out.extend(condition_dnf(term))
+            if len(out) > DNF_MAX_TERMS:
+                raise ConditionTooLargeError(
+                    format_condition(cond), DNF_MAX_TERMS
+                )
+        return tuple(out)
+    if isinstance(cond, And):
+        out = [()]
+        for term in cond.terms:
+            sub = condition_dnf(term)
+            if len(out) * len(sub) > DNF_MAX_TERMS:
+                raise ConditionTooLargeError(
+                    format_condition(cond), DNF_MAX_TERMS
+                )
+            out = [a + b for a in out for b in sub]
+        return tuple(out)
     raise TypeError(f"not a condition: {cond!r}")
 
 

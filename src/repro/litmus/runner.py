@@ -16,6 +16,14 @@ Fences map to the memory system's ``fence_begin``/``fence_done``
 priority-drain protocol (the same calls the engine's fence op makes),
 and ``rmw`` goes through the atomic pipeline.
 
+Two-thread ld/st tests (MP, LB, SB and kin: the Sec. 3 tuning
+workload) run each execution in one call of the native kernel
+(:mod:`repro.litmus.native`), which draws the stream exactly as
+:func:`_one_round` does.  Everything else, every run that records
+outcomes, and every run on a host without a C compiler goes through
+:func:`_one_round`, the general interpreter and the kernel's test
+oracle.
+
 The N threads are placed on N distinct SMs (the paper configures the
 communicating threads in distinct blocks); chips model at least 8 SMs,
 comfortably above the 4-thread idioms (IRIW).
@@ -23,6 +31,7 @@ comfortably above the 4-thread idioms (IRIW).
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +40,7 @@ from typing import NamedTuple
 from ..chips.profile import HardwareProfile
 from ..gpu.addresses import AddressSpace
 from ..gpu.events import STALL
-from ..gpu.memory import MemorySystem
+from ..gpu.memory import MemorySystem, memory_tables, native_chip
 from ..parallel import (
     SERIAL,
     LitmusShard,
@@ -41,6 +50,8 @@ from ..parallel import (
     shard_ranges,
 )
 from ..rng import BufferedRNG, derive_seed, make_rng
+from . import native
+from .ir import LocEq, condition_dnf
 from .results import LitmusResult
 from .tests import LitmusTest
 
@@ -158,7 +169,7 @@ def _exch(value):
 def _is_two_thread_ldst(programs: tuple[tuple, ...]) -> bool:
     """True for the plain two-thread ld/st shape (MP/LB/SB, R, S, 2+2W
     and kin) — the tuning pipeline's hot workload, served by the
-    unrolled fast path."""
+    native kernel."""
     return len(programs) == 2 and all(
         ins[0] == "st" or ins[0] == "ld"
         for program in programs
@@ -170,16 +181,60 @@ class _RoundPlan(NamedTuple):
     """Everything a round needs, precomputed once per instance:
     address-resolved programs, location addresses, the final-value
     queries of the condition, the compiled forbidden-outcome predicate
-    and the fast-path eligibility flag."""
+    and, for the two-thread ld/st shape only, the native kernel's plan
+    words."""
 
     programs: tuple
     addrs: tuple
     final_locs: tuple  # ((location name, address), ...)
     pred: object  # f(regs, final) -> bool
-    fast2: bool
+    packed: bytes | None
 
 
 _EMPTY_FINAL: dict = {}
+_WORD_MIN = -(1 << 63)
+_WORD_MAX = (1 << 63) - 1
+#: Op and condition-leaf kinds of the plan words (``native.c``'s enums).
+_OP_ST, _OP_LD = 0, 1
+_LEAF_REG, _LEAF_LOC = 0, 1
+
+
+def _packed_plan(test: LitmusTest, addrs: tuple) -> bytes:
+    """The native kernel's plan words for a two-thread ld/st test (see
+    ``native.c``): the round constants, the location addresses, each
+    thread's ops over location and register indices, and the forbidden
+    outcome in disjunctive normal form.  Values travel as 64-bit words,
+    so a value outside that range raises ``ValueError``."""
+
+    def word(value):
+        if isinstance(value, int) and _WORD_MIN <= value <= _WORD_MAX:
+            return value
+        raise ValueError(
+            f"{test.name}: value {value!r} is not a 64-bit integer"
+        )
+
+    slot = test.locations.index
+    reg = test.registers.index
+    dnf = condition_dnf(test.forbidden)
+    words = [
+        len(test.locations), len(test.registers), *map(len, test.threads),
+        len(dnf), _ROUNDS, _ISSUE_TICKS, _DRAIN_TICKS, _MAX_START_DELAY,
+        *addrs,
+    ]
+    for program in test.threads:
+        for kind, loc, arg in program:
+            if kind == "st":
+                words += (_OP_ST, slot(loc), word(arg))
+            else:
+                words += (_OP_LD, slot(loc), reg(arg))
+    for conj in dnf:
+        words.append(len(conj))
+        for leaf in conj:
+            if isinstance(leaf, LocEq):
+                words += (_LEAF_LOC, slot(leaf.loc), word(leaf.value))
+            else:
+                words += (_LEAF_REG, reg(leaf.reg), word(leaf.value))
+    return array("q", words).tobytes()
 
 
 @lru_cache(maxsize=4096)
@@ -196,7 +251,11 @@ def _round_plan(instance: LitmusInstance) -> _RoundPlan:
         addrs=addrs,
         final_locs=final_locs,
         pred=test._predicate,
-        fast2=_is_two_thread_ldst(programs),
+        packed=(
+            _packed_plan(test, addrs)
+            if _is_two_thread_ldst(programs)
+            else None
+        ),
     )
 
 
@@ -212,88 +271,6 @@ def _finish_round(plan: _RoundPlan, mem, regs, names, handles) -> bool:
     return bool(plan.pred(regs, final))
 
 
-def _one_round_ldst2(
-    plan: _RoundPlan,
-    mem: MemorySystem,
-    sms,
-    exec_p,
-    rng,
-) -> bool:
-    """Unrolled two-thread ld/st round — the seed repo's hot loop.
-
-    Draw-for-draw identical to the general :func:`_one_round` on this
-    program shape (two start-delay draws, then per-tick gates in thread
-    order, then the inlined memory step); kept unrolled because the
-    tuning pipeline runs this shape hundreds of millions of times (see
-    ``benchmarks/bench_throughput.py``).
-    """
-    mset = mem.mem
-    for a in plan.addrs:
-        mset[a] = 0
-    prog0, prog1 = plan.programs
-    n0 = len(prog0)
-    n1 = len(prog1)
-    sm0, sm1 = sms
-    p0, p1 = exec_p
-
-    delay0 = rng._lemire32(_MAX_START_DELAY)
-    delay1 = rng._lemire32(_MAX_START_DELAY)
-    pc0 = 0
-    pc1 = 0
-    names: list[str] = []
-    handles: list = []
-    write = mem.write
-    issue = mem.issue_load
-    start_tick = delay0 if delay0 < delay1 else delay1
-    if start_tick:
-        mem.tick += start_tick
-    for tick in range(start_tick, _ISSUE_TICKS):
-        if pc0 >= n0 and pc1 >= n1:
-            break
-        if pc0 < n0 and tick >= delay0:
-            i = rng._i
-            if i < rng._n:
-                rng._i = i + 1
-                roll = rng._dbuf[i]
-            else:
-                roll = rng.random()
-            if roll < p0:
-                ins = prog0[pc0]
-                if ins[0] == "st":
-                    if write(sm0, 0, ins[1], ins[2]):
-                        pc0 += 1
-                else:  # ld
-                    names.append(ins[2])
-                    handles.append(issue(sm0, 0, ins[1]))
-                    pc0 += 1
-        if pc1 < n1 and tick >= delay1:
-            i = rng._i
-            if i < rng._n:
-                rng._i = i + 1
-                roll = rng._dbuf[i]
-            else:
-                roll = rng.random()
-            if roll < p1:
-                ins = prog1[pc1]
-                if ins[0] == "st":
-                    if write(sm1, 1, ins[1], ins[2]):
-                        pc1 += 1
-                else:  # ld
-                    names.append(ins[2])
-                    handles.append(issue(sm1, 1, ins[1]))
-                    pc1 += 1
-        # mem.step(), inlined to skip a frame per tick.
-        mem.tick += 1
-        if mem._deferred:
-            mem._step_deferred()
-        if mem._n_buffered:
-            mem._step_buffers()
-
-    mem.drain_until(handles, _DRAIN_TICKS)
-    mem.flush_all()
-    return _finish_round(plan, mem, {}, names, handles)
-
-
 def _one_round(
     plan: _RoundPlan,
     mem: MemorySystem,
@@ -304,12 +281,12 @@ def _one_round(
     """Run one litmus round; returns True on the forbidden outcome.
 
     The general N-thread interpreter: handles any thread count and the
-    full instruction set (``st``/``ld``/``fence``/``rmw``).  It consumes
-    the random stream in the same order as the unrolled fast path on
-    two-thread ld/st programs — one start-delay draw per thread, then
-    per-tick exec-gate rolls in thread order, then the inlined
-    memory-system step (``rng`` must be a
-    :class:`~repro.rng.BufferedRNG`; see the golden-statistics tests).
+    full instruction set (``st``/``ld``/``fence``/``rmw``).  On
+    two-thread ld/st programs the native kernel consumes the random
+    stream in the same order — one start-delay draw per thread, then
+    per-tick exec-gate rolls in thread order, then the memory-system
+    step (``rng`` must be a :class:`~repro.rng.BufferedRNG`; see the
+    golden-statistics tests and ``tests/test_native_litmus.py``).
     """
     mset = mem.mem
     for a in plan.addrs:
@@ -380,9 +357,6 @@ def _one_round(
                     pcs[t] = pc + 1
             if pcs[t] >= lens[t]:
                 remaining -= 1
-        # The general interpreter serves fenced/rmw/N-thread tests, not
-        # the tuning hot loop, so it calls the real step rather than
-        # adding another hand-inlined copy (cf. _one_round_ldst2).
         mem.step()
 
     mem.drain_until(handles, _DRAIN_TICKS)
@@ -462,6 +436,12 @@ def _litmus_span(
     their rounds instead of stopping at the first weak one; the skipped
     rounds only consume the execution's own stream, so the weak count
     is the same.
+
+    A two-thread ld/st test that records no outcomes runs each
+    execution in one native kernel call when the kernel is available.
+    No :class:`MemorySystem` exists then; the probability tables are
+    looked up, as ``MemorySystem.reset`` would, only when the stress
+    field object changes.
     """
     weak = 0
     mem: MemorySystem | None = None
@@ -470,8 +450,13 @@ def _litmus_span(
     plan = _round_plan(instance)
     if outcomes is not None:
         plan = _recording_plan(plan, instance.test, outcomes)
+    kernel = None
+    if plan.packed is not None and outcomes is None:
+        kernel = native.kernel()
+    if kernel is not None:
+        chip, factors = native_chip(profile, plan.addrs)
+        tables_field = tables = None
     n_threads = len(plan.programs)
-    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
     build = stress_spec.build
     # derive_seed is a left fold over the labels, so hoisting the
     # loop-invariant prefix yields the identical per-execution seed.
@@ -481,7 +466,11 @@ def _litmus_span(
     for i in range(start, stop):
         rng = BufferedRNG(make_rng(span_seed, i))
         field = build(profile, scratch_base, scratch_size, rng)
-        if mem is None:
+        if kernel is not None:
+            if field is not tables_field:
+                tables = memory_tables(profile, field, 1.0).packed
+                tables_field = field
+        elif mem is None:
             mem = MemorySystem(profile, field, rng)
         else:
             mem.reset(stress=field, rng=rng)
@@ -494,9 +483,15 @@ def _litmus_span(
             )
         else:
             exec_p = (_EXEC_P,) * n_threads
+        if kernel is not None:
+            weak += native.run_execution(
+                kernel, plan.packed, chip, factors, tables, exec_p, sms[0],
+                rng,
+            )
+            continue
         hit = False
         for _ in range(_ROUNDS):
-            if round_fn(plan, mem, sms, exec_p, rng):
+            if _one_round(plan, mem, sms, exec_p, rng):
                 hit = True
                 if outcomes is None:
                     break

@@ -96,6 +96,10 @@ class BufferedRNG:
     double, ``advance`` rewind, the ``has_uint32``/``uinteger`` state
     schema), so only a ``Generator`` over ``PCG64`` or ``PCG64DXSM`` is
     accepted.
+
+    Native code takes the stream over through :meth:`pcg64_state` and
+    hands it back through :meth:`set_pcg64_state` (PCG64 only), which
+    leaves the wrapper where the same draws made in Python would.
     """
 
     __slots__ = ("gen", "_bit", "_raw", "_dbuf", "_i", "_n", "_has32", "_u32")
@@ -226,6 +230,45 @@ class BufferedRNG:
             state["uinteger"] = self._u32
             self._bit.state = state
             self._has32 = False
+
+    def pcg64_state(self) -> tuple[int, int, int, int]:
+        """``(state, inc, has_uint32, uinteger)`` of the PCG64 stream at
+        the logical position, for a native consumer that continues the
+        stream and hands it back through :meth:`set_pcg64_state`.
+
+        Syncs first, so the unconsumed pre-draws are rewound and a
+        pending half word is in the returned state.  Only PCG64's
+        XSL-RR output is emulated natively; any other bit generator
+        (PCG64DXSM included) raises :class:`TypeError`.
+        """
+        if type(self._bit) is not np.random.PCG64:
+            raise TypeError(
+                "the PCG64 hand-off needs a PCG64 bit generator, not "
+                f"{type(self._bit).__name__}"
+            )
+        self._sync()
+        state = self._bit.state
+        pcg = state["state"]
+        return pcg["state"], pcg["inc"], state["has_uint32"], state["uinteger"]
+
+    def set_pcg64_state(
+        self, state: int, inc: int, has_uint32: int, uinteger: int
+    ) -> None:
+        """Continue from a stream position a native consumer reached
+        after :meth:`pcg64_state`; the pending half word, if any, is the
+        wrapper's own, as after a delegated draw."""
+        self._raw = None
+        self._dbuf = []
+        self._i = 0
+        self._n = 0
+        self._bit.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._has32 = bool(has_uint32)
+        self._u32 = uinteger
 
     def _capture(self) -> None:
         """Take ownership of the real generator's buffered half word

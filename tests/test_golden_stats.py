@@ -9,7 +9,10 @@ bit.  These tests pin fixed-seed statistics captured from the
 pre-refactor implementations, so this and future performance PRs cannot
 silently shift the model.
 
-Litmus path, three layers of increasing sensitivity:
+Litmus path, three layers of increasing sensitivity, each pinned on
+both of the direct runner's round implementations (the native kernel
+that runs two-thread ld/st executions, and the Python rounds with the
+kernel forced off):
 
 * exact weak counts over MP/LB/SB x three chips x {no-str, sys-str} at
   smoke scale (40 executions, seed 7, distance 2 x patch size);
@@ -47,7 +50,7 @@ from repro.apps.base import (
 )
 from repro.apps.registry import get_application
 from repro.chips import get_chip
-from repro.litmus import LB, MP, SB, get_test, run_litmus
+from repro.litmus import LB, MP, SB, get_test, native, run_litmus
 from repro.litmus.runner import LitmusInstance, _litmus_span
 from repro.parallel import ParallelConfig
 from repro.rng import derive_seed
@@ -101,6 +104,16 @@ def _env_spec(chip_name: str, env: str):
     return TunedStress(shipped_params(chip_name))
 
 
+def _both_paths(run):
+    """``run()`` with the native kernel (where it builds), then with it
+    forced off so the Python rounds run; each must give the pinned
+    value."""
+    with_kernel = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_kernel", None)
+        return with_kernel, run()
+
+
 @pytest.mark.parametrize(
     "chip_name,test_name,env",
     sorted(GOLDEN_WEAK),
@@ -108,15 +121,17 @@ def _env_spec(chip_name: str, env: str):
 )
 def test_weak_counts_match_pre_refactor_core(chip_name, test_name, env):
     chip = get_chip(chip_name)
-    result = run_litmus(
-        chip,
-        get_test(test_name),
-        2 * chip.patch_size,
-        _env_spec(chip_name, env),
-        executions=_EXECUTIONS,
-        seed=_SEED,
-    )
-    assert result.weak == GOLDEN_WEAK[(chip_name, test_name, env)]
+    golden = GOLDEN_WEAK[(chip_name, test_name, env)]
+    assert _both_paths(
+        lambda: run_litmus(
+            chip,
+            get_test(test_name),
+            2 * chip.patch_size,
+            _env_spec(chip_name, env),
+            executions=_EXECUTIONS,
+            seed=_SEED,
+        ).weak
+    ) == (golden, golden)
 
 
 @pytest.mark.parametrize("chip_name,test_name", sorted(GOLDEN_FINGERPRINTS))
@@ -126,20 +141,23 @@ def test_weak_fingerprints_match_pre_refactor_core(chip_name, test_name):
     instance = LitmusInstance.layout(
         chip, get_test(test_name), 2 * chip.patch_size
     )
-    weak_indices = tuple(
-        i
-        for i in range(_EXECUTIONS)
-        if _litmus_span(chip, instance, spec, _SEED, False, i, i + 1)
-    )
-    assert weak_indices == GOLDEN_FINGERPRINTS[(chip_name, test_name)]
+    golden = GOLDEN_FINGERPRINTS[(chip_name, test_name)]
+    assert _both_paths(
+        lambda: tuple(
+            i
+            for i in range(_EXECUTIONS)
+            if _litmus_span(chip, instance, spec, _SEED, False, i, i + 1)
+        )
+    ) == (golden, golden)
 
 
 def test_randomised_weak_count_matches_pre_refactor_core():
     chip = get_chip("K20")
     spec = TunedStress(shipped_params("K20"))
     instance = LitmusInstance.layout(chip, MP, 2 * chip.patch_size)
-    weak = _litmus_span(chip, instance, spec, _SEED, True, 0, 600)
-    assert weak == GOLDEN_RANDOMISE_WEAK
+    assert _both_paths(
+        lambda: _litmus_span(chip, instance, spec, _SEED, True, 0, 600)
+    ) == (GOLDEN_RANDOMISE_WEAK, GOLDEN_RANDOMISE_WEAK)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -148,16 +166,18 @@ def test_sharded_runs_match_golden_counts(jobs):
     value (global-index seeding through the optimized core)."""
     chip = get_chip("K20")
     spec = TunedStress(shipped_params("K20"))
-    result = run_litmus(
-        chip,
-        MP,
-        2 * chip.patch_size,
-        spec,
-        executions=_EXECUTIONS,
-        seed=_SEED,
-        parallel=ParallelConfig(jobs=jobs),
-    )
-    assert result.weak == GOLDEN_WEAK[("K20", "MP", "sys-str")]
+    golden = GOLDEN_WEAK[("K20", "MP", "sys-str")]
+    assert _both_paths(
+        lambda: run_litmus(
+            chip,
+            MP,
+            2 * chip.patch_size,
+            spec,
+            executions=_EXECUTIONS,
+            seed=_SEED,
+            parallel=ParallelConfig(jobs=jobs),
+        ).weak
+    ) == (golden, golden)
 
 
 def test_any_span_partition_matches_golden_count():
@@ -166,12 +186,14 @@ def test_any_span_partition_matches_golden_count():
     chip = get_chip("K20")
     spec = TunedStress(shipped_params("K20"))
     instance = LitmusInstance.layout(chip, MP, 2 * chip.patch_size)
+    golden = GOLDEN_WEAK[("K20", "MP", "sys-str")]
     for bounds in ([0, 40], [0, 7, 40], [0, 13, 14, 31, 40]):
-        total = sum(
-            _litmus_span(chip, instance, spec, _SEED, False, a, b)
-            for a, b in zip(bounds, bounds[1:])
-        )
-        assert total == GOLDEN_WEAK[("K20", "MP", "sys-str")]
+        assert _both_paths(
+            lambda: sum(
+                _litmus_span(chip, instance, spec, _SEED, False, a, b)
+                for a, b in zip(bounds, bounds[1:])
+            )
+        ) == (golden, golden)
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,28 @@
 """Property-based tests for the declarative litmus IR.
 
-Random well-formed programs must validate, and the two condition
+Random well-formed programs must validate, and the condition
 evaluators — the recursive :func:`~repro.litmus.ir.evaluate`
-interpreter and the :func:`~repro.litmus.ir.compile_condition` closure
-the hot loops use — must agree on every final state.  Hypothesis drives
+interpreter, the :func:`~repro.litmus.ir.compile_condition` closure
+the hot loops use and the :func:`~repro.litmus.ir.condition_dnf` form
+the native litmus kernel evaluates — must agree on every final state.  Hypothesis drives
 both: the generator below builds arbitrary multi-thread programs with
 globally unique registers and forbidden conditions drawn only from
 written registers and touched locations, exactly the well-formedness
 contract :func:`~repro.litmus.ir.validate_test` enforces.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConditionTooLargeError
 from repro.litmus.ir import (
+    DNF_MAX_TERMS,
     And,
     LocEq,
     Or,
     RegEq,
     compile_condition,
+    condition_dnf,
     condition_locations,
     condition_registers,
     evaluate,
@@ -198,3 +203,50 @@ class TestEvaluatorAgreement:
             assert reg in text
         for loc in condition_locations(test.forbidden):
             assert f"[{loc}]" in text
+
+
+def _dnf_holds(dnf, regs: dict, final: dict) -> bool:
+    def value(leaf):
+        if isinstance(leaf, RegEq):
+            return regs.get(leaf.reg, 0)
+        return final.get(leaf.loc, 0)
+
+    return any(
+        all(value(leaf) == leaf.value for leaf in conj) for conj in dnf
+    )
+
+
+class TestConditionDNF:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dnf_agrees_with_interpreter(self, data):
+        # Valuations drop random registers and locations, which both
+        # forms must read as zero.
+        test = data.draw(well_formed_tests())
+        dnf = condition_dnf(test.forbidden)
+        regs, final = data.draw(final_states(test))
+        regs = {r: v for r, v in regs.items() if data.draw(st.booleans())}
+        final = {k: v for k, v in final.items() if data.draw(st.booleans())}
+        assert all(
+            isinstance(leaf, (RegEq, LocEq)) for conj in dnf for leaf in conj
+        )
+        assert _dnf_holds(dnf, regs, final) == evaluate(
+            test.forbidden, regs, final
+        )
+
+    def test_empty_connectives(self):
+        assert condition_dnf(And()) == ((),)
+        assert condition_dnf(Or()) == ()
+        assert condition_dnf(And(Or(), RegEq("r1", 1))) == ()
+
+    def test_size_bound_raises_instead_of_truncating(self):
+        pair = Or(RegEq("r1", 0), RegEq("r2", 1))
+        assert len(condition_dnf(And(*[pair] * 12))) == DNF_MAX_TERMS
+        with pytest.raises(ConditionTooLargeError) as info:
+            condition_dnf(And(*[pair] * 13))
+        assert isinstance(info.value, ValueError)
+        assert info.value.bound == DNF_MAX_TERMS
+        leaves = [RegEq("r1", v) for v in range(DNF_MAX_TERMS + 1)]
+        assert len(condition_dnf(Or(*leaves[:-1]))) == DNF_MAX_TERMS
+        with pytest.raises(ConditionTooLargeError):
+            condition_dnf(Or(*leaves))
