@@ -73,15 +73,15 @@ class HardwareProfile:
     supports_power: bool = False
 
     def __post_init__(self) -> None:
-        # Precompute the address→channel arithmetic.  All shipped chips
-        # have power-of-two patch sizes and channel counts, so the
-        # hot-path mapping reduces to a shift and a mask; the division
-        # form remains as the general fallback.  (``object.__setattr__``
-        # because the dataclass is frozen.)
+        # Precompute the address→channel arithmetic.  With power-of-two
+        # patch sizes and channel counts the mapping reduces to a shift
+        # and a mask; the Fermi chips (C2075, C2050) have 6 channels and
+        # take the division form on every address.
+        # (``object.__setattr__`` because the dataclass is frozen.)
         if _is_pow2(self.patch_size) and _is_pow2(self.n_channels):
             shift = self.patch_size.bit_length() - 1
             mask = self.n_channels - 1
-        else:  # pragma: no cover - no shipped chip takes this path
+        else:
             shift = None
             mask = None
         object.__setattr__(self, "channel_shift", shift)

@@ -166,7 +166,6 @@ _OPTIONS: dict[str, dict] = {
         "byte-identical to a local run)",
     ),
     "--units-per-lease": dict(
-        aliases=("--lease-units",), dest="units_per_lease",
         type=_count_arg, metavar="N",
         help="fix the work units granted per lease (default: adaptive — "
         "the coordinator sizes each worker's leases from its measured "
@@ -207,9 +206,7 @@ def _add_options(
     (``default=``, ``help=``) applies to each of them, so pass it with
     one name."""
     for name in names:
-        kwargs = {**_OPTIONS[name], **override}
-        aliases = kwargs.pop("aliases", ())
-        parser.add_argument(name, *aliases, **kwargs)
+        parser.add_argument(name, **{**_OPTIONS[name], **override})
 
 
 def _parallel(args: argparse.Namespace) -> ParallelConfig | None:
@@ -525,8 +522,8 @@ def _epilog() -> str:
             "  Leases are sized adaptively (per-worker service-time",
             "  EWMA, targeting --lease-target-seconds of compute each);",
             "  --units-per-lease N pins a fixed batch size instead.",
-            "  Workers pipeline lease requests and large frames are",
-            "  compressed, always: there is one wire protocol.",
+            "  Workers pipeline lease requests, always: there is one",
+            "  wire protocol.",
             "",
             "persistent run ledger:",
             "  pass --out DIR to checkpoint completed results into an",

@@ -5,8 +5,10 @@ plans across machines without moving any correctness responsibility:
 results are keyed and seeded identically wherever they run, so the
 coordinator's content-key merge is provably byte-identical to a
 single-machine run.  Every connection speaks the one wire protocol,
-v3: lease pipelining, adaptive lease sizing, incremental result
-streaming and frame compression are always on.
+v4: lease pipelining, adaptive lease sizing and incremental result
+streaming are always on, and each thing is sent once (records only in
+``result-part``, one heartbeat per unit for every lease a connection
+holds, uncompressed frames).
 ``python -m repro.dist`` runs one worker (:func:`repro.dist.worker.main`,
 also the ``repro worker`` subcommand).  See ``docs/ARCHITECTURE.md``
 ("Distributed campaigns") for the frame format, the lease lifecycle,
@@ -27,8 +29,6 @@ from .leases import (
     Settlement,
 )
 from .protocol import (
-    COMPRESS_FLAG,
-    COMPRESS_MIN,
     MAX_FRAME,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -46,8 +46,6 @@ from .worker import (
 )
 
 __all__ = [
-    "COMPRESS_FLAG",
-    "COMPRESS_MIN",
     "Coordinator",
     "DEFAULT_TARGET_LEASE_S",
     "DistributedSubmit",

@@ -16,13 +16,15 @@ it and :meth:`Coordinator.serve` raises
 and every healthy record, so one poison unit can neither crash-loop
 the fleet nor silently punch a hole in the merge.
 
-Every worker speaks protocol v3, the only one served: a ``hello`` with
-any other version is refused.  Records stream in as ``result-part``
-frames, pipelined workers hand unstarted leases back with ``release``,
-and each ``result``'s ``elapsed_s`` feeds adaptive lease sizing.  A
-frame that is well formed but carries a malformed field (a non-integer
-lease id, a ``records`` or ``failed`` entry of the wrong shape) is a
-:class:`~repro.errors.ProtocolError` that costs only its sender's
+Every worker speaks protocol v4, the only one served: a ``hello`` with
+any other version is refused.  Records arrive only in ``result-part``
+frames; a ``result`` settles its lease with the failures and an
+``elapsed_s`` that feeds adaptive lease sizing.  A ``heartbeat``
+extends every lease its connection holds, and pipelined workers hand
+unstarted leases back with ``release``.  A frame that is well formed
+but carries a malformed field (a non-integer lease id, a ``records``
+or ``failed`` entry of the wrong shape, a ``result`` with records) is
+a :class:`~repro.errors.ProtocolError` that costs only its sender's
 connection: it gets an ``error`` frame and is dropped, and its leases
 re-pend.
 
@@ -37,12 +39,12 @@ units in unit order, or raises a typed error distinguishing
 provably the same bytes as a serial one.
 
 Fault site ``coordinator.merge`` (kind ``restart``) simulates a
-coordinator crash immediately after a result merges: every client is
-dropped, the listener rebinds on the same port, and the lease table is
-rebuilt from merged records exactly as a real restart resumes from the
-run ledger.  Workers ride it out via reconnect-with-backoff.  Records
-that arrived in ``result-part`` frames before the crash survive it,
-exactly as ledger-checkpointed records would.
+coordinator crash immediately after a ``result-part`` merges: every
+client is dropped, the listener rebinds on the same port, and the
+lease table is rebuilt from merged records exactly as a real restart
+resumes from the run ledger.  Workers ride it out via
+reconnect-with-backoff.  Records that merged before the crash survive
+it, exactly as ledger-checkpointed records would.
 """
 
 from __future__ import annotations
@@ -427,7 +429,7 @@ class Coordinator:
                 )
         elif kind == "heartbeat":
             lease_id = _lease_id(message)
-            held = self._table.heartbeat(lease_id)
+            held = self._table.heartbeat(client.ident, lease_id)
             if not held:
                 self.log(
                     f"heartbeat from {client.ident} for lost lease "
@@ -458,10 +460,13 @@ class Coordinator:
         pause = deadline - self._table.now()
         return min(max(pause, WAIT_RETRY_MIN_S), WAIT_RETRY_MAX_S)
 
-    def _merge_records(self, client: _Client, message: dict) -> set[int]:
-        """Fold a frame's records into the merge; returns the unit
-        indices the frame covered (fresh or duplicate).  Every record
-        parses before any merges."""
+    def _merge_part(self, client: _Client, message: dict) -> None:
+        """Incremental ``result-part``: merge now, settle at the lease's
+        ``result``.  Every record parses before any merges.  A part
+        proves its connection alive, as a heartbeat does; a part for a
+        lease this connection no longer holds merges idempotently and
+        is otherwise ignored."""
+        lease_id = _lease_id(message)
         try:
             records = [
                 RunRecord.from_json(obj)
@@ -496,20 +501,10 @@ class Coordinator:
                 )
             # identical duplicate (reassigned lease raced its original
             # holder): idempotent, drop silently.
+        if self._table.heartbeat(client.ident, lease_id):
+            self._partial.setdefault(lease_id, set()).update(covered)
         if covered and fault_at("coordinator.merge") is not None:
             self._restart_requested = True
-        return covered
-
-    def _merge_part(self, client: _Client, message: dict) -> None:
-        """Incremental ``result-part``: merge now, settle later.  The
-        lease stays active (its heartbeats carry liveness); a part for
-        a lease this coordinator no longer holds merges idempotently
-        and is otherwise ignored."""
-        lease_id = _lease_id(message)
-        covered = self._merge_records(client, message)
-        if lease_id in self._table.active:
-            self._partial.setdefault(lease_id, set()).update(covered)
-            self._table.heartbeat(lease_id)
 
     def _release_lease(self, client: _Client, message: dict) -> None:
         """A pipelined worker handing back an unstarted prefetched
@@ -526,7 +521,15 @@ class Coordinator:
             )
 
     def _merge_result(self, client: _Client, message: dict) -> None:
+        """Settle a lease: its records already merged from
+        ``result-part`` frames, so a ``result`` carries only the
+        failures and the worker's ``elapsed_s``."""
         lease_id = _lease_id(message)
+        if "records" in message:
+            raise ProtocolError(
+                "result frame carries records; they travel only in "
+                "result-part"
+            )
         failed: dict[int, str] = {}
         for entry in _list_field(message, "failed"):
             key = entry.get("key") if isinstance(entry, dict) else None
@@ -539,8 +542,7 @@ class Coordinator:
                     f"content key {key!r}; plan/worker mismatch"
                 )
             failed[index] = str(entry.get("error") or "unspecified failure")
-        completed = self._merge_records(client, message)
-        completed |= self._partial.pop(lease_id, set())
+        completed = self._partial.pop(lease_id, set())
         processed = len(completed) + len(failed)
         if lease_id in self._table.active and processed:
             self._table.observe(

@@ -2,11 +2,13 @@
 
 The coordinator partitions a campaign's work units into *leases*: a
 lease is a batch of unit indices granted to one worker together with a
-deadline.  The worker heartbeats to extend the deadline while it
-computes; when results come back the lease settles; when the deadline
-passes (worker hung) or the connection drops (worker died, e.g.
-``kill -9``) the lease's unfinished units return to the pending queue
-and the next requesting worker picks them up.
+deadline.  The worker heartbeats while it computes, and each heartbeat
+extends every lease its connection holds, the executing one and a
+buffered prefetched one alike.  When results come back the lease
+settles; when the deadline passes (worker hung) or the connection
+drops (worker died, e.g. ``kill -9``) the lease's unfinished units
+return to the pending queue and the next requesting worker picks them
+up.
 
 Lease *size* is adaptive by default.  The table keeps a per-worker
 EWMA of unit service time, fed by :meth:`LeaseTable.observe` from
@@ -240,14 +242,18 @@ class LeaseTable:
         self.active[lease.lease_id] = lease
         return lease
 
-    def heartbeat(self, lease_id: int) -> bool:
-        """Extend a lease's deadline; False when the lease is no longer
-        held (expired and reassigned — the worker should drop it)."""
-        lease = self.active.get(lease_id)
-        if lease is None:
-            return False
-        lease.deadline = self.now() + self.timeout
-        return True
+    def heartbeat(self, worker: str, lease_id: int) -> bool:
+        """Extend the deadline of every lease ``worker`` holds: a
+        heartbeat proves its connection alive.  True when ``lease_id``
+        is one of those leases; False when it is no longer held
+        (expired and reassigned — the worker should drop it)."""
+        deadline = self.now() + self.timeout
+        held = False
+        for lease in self.active.values():
+            if lease.worker == worker:
+                lease.deadline = deadline
+                held = held or lease.lease_id == lease_id
+        return held
 
     def settle(
         self,

@@ -6,19 +6,21 @@ so any machine with the library importable can serve any unit kind),
 and streams the records back.  The loop is *pipelined*: as soon as a
 lease's units begin executing the worker requests the next lease, so
 the grant's network latency overlaps compute instead of serialising
-with it — one prefetched lease at most, heartbeats covering both held
-leases, and an explicit ``release`` handing an unstarted prefetch back
-on drain.  Each completed unit ships immediately as a ``result-part``
-frame (cutting peak frame size and tail latency); the final ``result``
-frame carries the failures and the lease's ``elapsed_s``, which feeds
-the coordinator's adaptive lease sizing.
+with it — one prefetched lease at most, and an explicit ``release``
+handing an unstarted prefetch back on drain.  Each completed unit's
+record ships immediately as a ``result-part`` frame, the only frame
+that carries records; the final ``result`` frame carries the failures
+and the lease's ``elapsed_s``, which feeds the coordinator's adaptive
+lease sizing.
 
-One heartbeat round-trip happens per completed unit: the coordinator
-acknowledges with ``beat`` and ``held=False`` means the lease expired
-and was reassigned, in which case the worker **discards its in-flight
-work** — the reassignment already owns those units, and reporting
-stale results would only burn bandwidth on duplicates the merge drops
-anyway.
+One heartbeat round-trip happens per completed unit.  It names the
+executing lease, and the coordinator extends every lease the
+connection holds, so a buffered prefetched lease needs no heartbeat of
+its own.  The ``beat`` ack answers for the named lease: ``held=False``
+means it expired and was reassigned, in which case the worker
+**discards its in-flight work** — the reassignment already owns those
+units, and reporting stale results would only burn bandwidth on
+duplicates the merge drops anyway.
 
 Failure handling is explicit at every layer:
 
@@ -193,8 +195,8 @@ class WorkerStats:
     counts ``wait`` grants: each parks the worker on its socket for up
     to ``retry_s``, and a ``done`` (or a closed connection) ends the
     park early.  The name predates the socket wait and is kept because
-    it is a key of the protocol benchmark's records.  ``wire`` carries
-    the raw-vs-compressed byte accounting for every frame either way.
+    it is a key of the protocol benchmark's records.  ``wire`` counts
+    the frames and bytes sent and received either way.
     """
 
     def __init__(self) -> None:
@@ -599,7 +601,9 @@ class _Session:
     def _heartbeat(self, lease_id: int) -> bool:
         """One heartbeat round-trip; False means this lease is gone (or
         the campaign finished) and in-flight work for it must be
-        discarded.  A dropped beat reads as held."""
+        discarded.  A dropped beat reads as held.  The coordinator
+        extends every lease this connection holds, so the buffered
+        prefetched lease stays held with the executing one."""
         if not self._send_heartbeat(lease_id):
             return True
         return self._await_beat(lease_id)
@@ -615,7 +619,7 @@ class _Session:
             if kind == "beat":
                 if reply.get("lease", lease_id) == lease_id:
                     return bool(reply.get("held", True))
-                continue  # ack for the other held lease, already acted on
+                continue  # stale ack for an earlier, already lost lease
             if kind == "done":
                 self.done_seen = True
                 return False
@@ -638,25 +642,6 @@ class _Session:
         # ``wait``: nothing pending coordinator-side right now; the
         # lease loop will issue a fresh (blocking) request when the
         # current lease finishes.
-
-    def _beat_both(self, lease_id: int) -> bool:
-        """Heartbeat the executing lease and, when granted, the
-        buffered prefetched lease; False means the *current* lease is
-        gone.  A prefetched grant that expired is silently dropped —
-        its units were already reassigned."""
-        if not self._heartbeat(lease_id):
-            return False
-        if self.prefetch is not None and not self.done_seen:
-            prefetched_id = self.prefetch.get("lease", -1)
-            if not self._heartbeat(prefetched_id):
-                if not self.done_seen:
-                    self.log(
-                        f"{self.name}: prefetched lease "
-                        f"{prefetched_id} lost while buffered; "
-                        "discarding the grant"
-                    )
-                self.prefetch = None
-        return True
 
     # -- lease execution ------------------------------------------------
     def _stream(self, lease_id: int, record) -> None:
@@ -683,11 +668,11 @@ class _Session:
             time.sleep(self.delay)
         parts_before = self.stats.parts_sent
         if not self.config.serial and len(units) > 1:
-            outcome = self._execute_pooled(lease_id, units)
+            failed = self._execute_pooled(lease_id, units)
         else:
-            outcome = self._execute_serial(lease_id, units)
+            failed = self._execute_serial(lease_id, units)
         streamed = self.stats.parts_sent - parts_before
-        if outcome is None:
+        if failed is None:
             if not self.done_seen:
                 # Campaign not over: the lease expired and was
                 # reassigned, so its failure reports are stale.
@@ -696,11 +681,9 @@ class _Session:
                     "discarding its in-flight work"
                 )
             return streamed
-        records, failed = outcome
         result = {
             "type": "result",
             "lease": lease_id,
-            "records": [record.to_json() for record in records],
             "failed": failed,
             "elapsed_s": time.monotonic() - started,
         }
@@ -717,19 +700,18 @@ class _Session:
         self.stats.leases_served += 1
         self.log(
             f"{self.name}: lease {lease_id} done "
-            f"({streamed + len(records)} records, {len(failed)} failed)"
+            f"({streamed} records, {len(failed)} failed)"
         )
-        return streamed + len(records)
+        return streamed
 
     def _execute_serial(
         self, lease_id: int, units: list[WorkUnit]
-    ) -> tuple[list, list[dict]] | None:
+    ) -> list[dict] | None:
         """Execute a lease unit by unit in this process, streaming each
-        record and heartbeating after each unit.  Returns the records
-        for the final ``result`` (none: all streamed) and the failure
-        reports, or None when the lease was lost.  A drain request
-        stops before the next unit; the coordinator re-pends the
-        unreported rest without charge."""
+        record and heartbeating after each unit.  Returns the failure
+        reports for the final ``result``, or None when the lease was
+        lost.  A drain request stops before the next unit; the
+        coordinator re-pends the unreported rest without charge."""
         failed: list[dict] = []
         for position, unit in enumerate(units):
             if self.drain_check is not None and self.drain_check():
@@ -746,20 +728,20 @@ class _Session:
                 self.log(f"{self.name}: unit {unit.key!r} failed: {exc}")
             else:
                 self._stream(lease_id, record)
-            if not self._beat_both(lease_id):
+            if not self._heartbeat(lease_id):
                 return None
-        return [], failed
+        return failed
 
     def _execute_pooled(
         self, lease_id: int, units: list[WorkUnit]
-    ) -> tuple[list, list[dict]] | None:
+    ) -> list[dict] | None:
         """Execute a lease through the process pool (``jobs > 1``).
 
         Each completed unit streams a ``result-part`` and a heartbeat;
         the acks are drained afterwards (the socket buffers them).  A
-        pool failure cannot name the culprit unit, so the lease falls
-        back to per-unit in-process execution to attribute it; those
-        records ride in the final ``result``.  Returns what
+        pool failure cannot name the culprit unit, so the lease then
+        re-runs through :meth:`_execute_serial`, which streams each
+        record again and attributes the failure.  Returns what
         :meth:`_execute_serial` does.
         """
         beats_sent = 0
@@ -770,8 +752,7 @@ class _Session:
             if self._send_heartbeat(lease_id):
                 beats_sent += 1
 
-        records: list = []
-        failed: list[dict] = []
+        pool_error = None
         try:
             run_units(units, self.config, on_record=beat)
         except (ResultHookError, OSError) as exc:
@@ -779,19 +760,17 @@ class _Session:
             # failure is a send failure: the connection is gone.
             raise _ConnectionLost(str(exc)) from exc
         except Exception as exc:
-            self.log(
-                f"{self.name}: pooled lease {lease_id} failed ({exc}); "
-                "re-running per unit to attribute"
-            )
-            for unit in units:
-                try:
-                    records.append(execute_unit(unit))
-                except Exception as unit_exc:
-                    failed.append(_failure(unit, unit_exc))
+            pool_error = exc
         for _ in range(beats_sent):
             if not self._await_beat(lease_id):
                 return None  # later acks drain as stale beats, if ever read
-        return records, failed
+        if pool_error is None:
+            return []
+        self.log(
+            f"{self.name}: pooled lease {lease_id} failed ({pool_error}); "
+            "re-running per unit to attribute"
+        )
+        return self._execute_serial(lease_id, units)
 
 
 def _failure(unit: WorkUnit, exc: Exception) -> dict:

@@ -58,10 +58,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "socket.send": ("drop", "partial", "delay", "garbage"),
     # repro.dist.protocol.recv_message (worker side)
     "socket.recv": ("drop", "delay", "garbage"),
-    # repro.dist.protocol.send_message, compressed frames only: flip a
-    # byte in the deflated body so the peer's inflate path must reject
-    # it with a typed ProtocolError (v3 compression path)
-    "socket.compress": ("corrupt",),
     # repro.dist.worker pipelined lease prefetch: skip falls back to
     # the blocking request path, delay stalls the prefetch send
     "worker.prefetch": ("skip", "delay"),

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,25 +35,3 @@ class LitmusResult:
     def rate(self) -> float:
         """Fraction of executions exhibiting the weak behaviour."""
         return self.weak / self.executions if self.executions else 0.0
-
-
-@dataclass
-class Tally:
-    """Accumulates weak-behaviour counts keyed by arbitrary tuples.
-
-    Used by the tuning pipeline to sum scores over distances and
-    stressing locations (the paper's per-sequence and per-spread
-    "scores").
-    """
-
-    counts: dict = field(default_factory=lambda: defaultdict(int))
-
-    def add(self, key, weak: int) -> None:
-        self.counts[key] += weak
-
-    def score(self, key) -> int:
-        return self.counts.get(key, 0)
-
-    def ranked(self) -> list[tuple[object, int]]:
-        """Keys sorted by descending score."""
-        return sorted(self.counts.items(), key=lambda kv: -kv[1])

@@ -144,10 +144,25 @@ class TestLeaseTable:
         table, clock = self._table(timeout=10.0)
         lease = table.grant("w")
         clock[0] = 8.0
-        assert table.heartbeat(lease.lease_id)
+        assert table.heartbeat("w", lease.lease_id)
         clock[0] = 15.0  # would have expired without the heartbeat
         assert table.expire() == []
-        assert table.heartbeat(999) is False
+        assert table.heartbeat("w", 999) is False
+
+    def test_heartbeat_extends_every_lease_of_its_worker(self):
+        # One heartbeat proves the connection alive: it keeps the
+        # buffered prefetched lease as well as the one it names.
+        table, clock = self._table(n=3, timeout=10.0)
+        executing = table.grant("w1")
+        prefetched = table.grant("w1")
+        other = table.grant("w2")
+        clock[0] = 8.0
+        assert table.heartbeat("w1", executing.lease_id)
+        clock[0] = 15.0
+        assert table.expire() == [other]
+        assert set(table.active) == {executing.lease_id, prefetched.lease_id}
+        # Held answers for this worker's leases only.
+        assert table.heartbeat("w2", executing.lease_id) is False
 
     def test_expiry_repends_to_front(self):
         table, clock = self._table(n=3, timeout=5.0, per_lease=2)
@@ -321,13 +336,14 @@ class TestCoordinatorWorker:
         sock, decoder = _fake_worker(host, port)
         send_message(sock, {"type": "request"})
         lease = recv_message(sock, decoder)
-        result = {
-            "type": "result",
+        part = {
+            "type": "result-part",
             "lease": lease["lease"],
             "records": [record.to_json()],
         }
-        send_message(sock, result)
-        send_message(sock, result)  # replayed frame: absorbed
+        send_message(sock, part)
+        send_message(sock, part)  # replayed frame: absorbed
+        send_message(sock, {"type": "result", "lease": lease["lease"]})
         thread.join(timeout=30)
         sock.close()
         assert box["records"] == [record]
@@ -347,7 +363,7 @@ class TestCoordinatorWorker:
         send_message(
             sock,
             {
-                "type": "result",
+                "type": "result-part",
                 "lease": lease["lease"],
                 "records": [record.to_json(), tampered.to_json()],
             },
@@ -369,7 +385,7 @@ class TestCoordinatorWorker:
         send_message(
             sock,
             {
-                "type": "result",
+                "type": "result-part",
                 "lease": lease["lease"],
                 "records": [alien.to_json()],
             },
@@ -418,6 +434,7 @@ class TestCoordinatorWorker:
             {"type": "heartbeat", "lease": [1]},
             {"type": "result", "lease": 1, "failed": ["x"]},
             {"type": "result", "lease": 1, "records": "zz"},
+            {"type": "result", "lease": 1, "records": []},
             {"type": "release", "lease": {}},
             {"type": "result-part", "lease": 1, "records": [1]},
         ],
@@ -425,6 +442,7 @@ class TestCoordinatorWorker:
             "heartbeat-list-lease",
             "result-str-failure",
             "result-str-records",
+            "result-carries-records",
             "release-dict-lease",
             "result-part-int-record",
         ],

@@ -1,53 +1,44 @@
-"""Protocol v3: adaptive leases, pipelining, streaming, compression.
+"""Protocol v4: adaptive leases, pipelining, streaming, one of each.
 
-Covers the four tentpole features of the distributed-protocol overhaul
-at every layer boundary:
+Covers the distributed protocol's features at every layer boundary:
 
 * :class:`~repro.dist.LeaseTable` adaptive sizing under an injected
   clock (probe leases, EWMA convergence, tail shrink, deadline
   scaling, fleet fallback, the fixed-size override);
-* zlib frame compression (round trip, small-frame passthrough) and a
-  hypothesis fuzz of the inflate path — bit flips, truncation, bombs
-  and trailing bytes must all surface as typed
-  :class:`~repro.errors.ProtocolError`, never anything else;
 * the one-version handshake: a coordinator refuses a ``hello`` and a
   worker refuses a ``welcome`` with any protocol but
   :data:`~repro.dist.PROTOCOL_VERSION` (older or newer versions,
-  ``True``, ``"3"``, ``3.0``, null or no field at all);
+  ``True``, ``"4"``, ``4.0``, null or no field at all);
 * lease pipelining and ``result-part`` streaming end to end, with the
-  byte-identity contract checked against a serial run, and the
-  worker's pooled lease path (``jobs > 1``) including its per-unit
-  failure attribution;
+  byte-identity contract checked against a serial run, each thing sent
+  once (one ``result-part``, one ``heartbeat`` and one ``beat`` per
+  unit, raw frames), and the worker's pooled lease path (``jobs > 1``)
+  including its per-unit failure attribution;
 * the idle-free wire: ``TCP_NODELAY`` on every dist TCP socket, and a
   worker parked on ``wait`` that wakes on ``done`` or a closed socket.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
-import zlib
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.dist import (
-    COMPRESS_FLAG,
     Coordinator,
     FrameDecoder,
     LeaseTable,
-    MAX_FRAME,
     MAX_LEASE_UNITS,
     PROTOCOL_VERSION,
     WorkerStats,
-    encode_frame,
     recv_message,
     run_worker,
     send_message,
 )
+from repro.dist import protocol
 from repro.dist.coordinator import (
     WAIT_RETRY_MAX_S,
     WAIT_RETRY_MIN_S,
@@ -232,147 +223,22 @@ class TestAdaptiveWaitRetry:
 
 
 # ---------------------------------------------------------------------------
-# Frame compression
-
-
-def _big_message(n=60):
-    return {"type": "result", "records": ["payload-" * 16] * n}
-
-
-def _raw_payload(message):
-    return json.dumps(message, separators=(",", ":")).encode("utf-8")
-
-
-class TestFrameCompression:
-    def test_round_trip_sets_the_flag_and_shrinks(self):
-        message = _big_message()
-        frame = encode_frame(message)
-        assert len(frame) < 4 + len(_raw_payload(message))
-        (header,) = (int.from_bytes(frame[:4], "big"),)
-        assert header & COMPRESS_FLAG
-        assert FrameDecoder().feed(frame) == [message]
-
-    def test_small_frames_ship_raw(self):
-        message = {"type": "request"}
-        frame = encode_frame(message)
-        assert frame[4:] == _raw_payload(message)
-        assert not int.from_bytes(frame[:4], "big") & COMPRESS_FLAG
-
-    def test_compression_that_grows_a_frame_is_skipped(self, monkeypatch):
-        # Deflate is only used when it actually shrinks the frame; an
-        # incompressible payload must ship raw, unflagged.
-        monkeypatch.setattr(
-            "repro.dist.protocol.zlib.compress",
-            lambda data, level=6: data + b"pad",
-        )
-        message = _big_message()
-        frame = encode_frame(message)
-        assert frame[4:] == _raw_payload(message)
-        assert not int.from_bytes(frame[:4], "big") & COMPRESS_FLAG
-        assert FrameDecoder().feed(frame) == [message]
-
-    def test_wire_stats_count_the_saving(self):
-        from repro.dist import WireStats
-
-        left, right = socket.socketpair()
-        out_stats, in_stats = WireStats(), WireStats()
-        try:
-            send_message(left, _big_message(), stats=out_stats)
-            decoder = FrameDecoder(stats=in_stats)
-            assert recv_message(right, decoder) == _big_message()
-        finally:
-            left.close()
-            right.close()
-        assert out_stats.compressed_out == 1
-        assert out_stats.wire_out < out_stats.raw_out
-        assert in_stats.compressed_in == 1
-        assert in_stats.raw_in == out_stats.raw_out
-        assert "compressed frame(s)" in out_stats.summary()
-
-    def test_decompression_bomb_refused(self):
-        deflated = zlib.compress(b"\x00" * (MAX_FRAME + 1))
-        frame = (
-            (len(deflated) | COMPRESS_FLAG).to_bytes(4, "big") + deflated
-        )
-        with pytest.raises(ProtocolError, match="inflates past"):
-            FrameDecoder().feed(frame)
-
-    def test_trailing_bytes_after_deflate_stream_refused(self):
-        payload = zlib.compress(b"x" * 4096) + b"extra"
-        frame = (len(payload) | COMPRESS_FLAG).to_bytes(4, "big") + payload
-        with pytest.raises(ProtocolError, match="trailing"):
-            FrameDecoder().feed(frame)
-
-
-class TestCompressedFrameFuzz:
-    """The inflate path under hostile bytes: every corruption is a
-    typed ProtocolError — never a hang, a crash, or silent garbage."""
-
-    _FRAME = encode_frame(_big_message())
-
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(position=st.integers(0, 2**31), flip=st.integers(1, 255))
-    def test_bit_flipped_body_always_refused(self, position, flip):
-        frame = bytearray(self._FRAME)
-        index = 4 + position % (len(frame) - 4)
-        frame[index] ^= flip
-        with pytest.raises(ProtocolError):
-            FrameDecoder().feed(bytes(frame))
-
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cut=st.integers(1, 2**31))
-    def test_truncated_deflate_stream_always_refused(self, cut):
-        body = self._FRAME[4:]
-        keep = len(body) - (1 + cut % (len(body) - 1))
-        truncated = body[:keep]
-        frame = (
-            (len(truncated) | COMPRESS_FLAG).to_bytes(4, "big") + truncated
-        )
-        with pytest.raises(ProtocolError):
-            FrameDecoder().feed(frame)
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(garbage=st.binary(min_size=1, max_size=256))
-    def test_arbitrary_bytes_as_compressed_body_refused(self, garbage):
-        frame = (len(garbage) | COMPRESS_FLAG).to_bytes(4, "big") + garbage
-        decoder = FrameDecoder()
-        try:
-            messages = decoder.feed(frame)
-        except ProtocolError:
-            return
-        # Vanishingly unlikely, but if random bytes are a valid deflate
-        # stream they must still decode to a typed message to pass.
-        assert all(isinstance(m, dict) and "type" in m for m in messages)
-
-
-# ---------------------------------------------------------------------------
 # Handshake: one protocol version, anything else refused
 
 #: Marks a ``protocol`` field left out of the frame (not sent as null).
 _MISSING = object()
 
 #: Every ``protocol`` value but the one spoken: older and newer
-#: versions, and values that compare equal to 3 without being the int.
+#: versions, and values that look like 4 without being the int.
 _OTHER_VERSIONS = [
     1,
     2,
-    4,
+    3,
     5,
     True,
-    "3",
+    "4",
     3.0,
+    4.0,
     None,
     pytest.param(_MISSING, id="missing"),
 ]
@@ -385,7 +251,7 @@ def _with_protocol(message, version):
 
 
 class TestHandshakeDowngrade:
-    """A peer offering any protocol but PROTOCOL_VERSION, a v2
+    """A peer offering any protocol but PROTOCOL_VERSION, a v3
     downgrade included, is refused on either side of the handshake."""
 
     @pytest.mark.parametrize("version", _OTHER_VERSIONS)
@@ -463,6 +329,83 @@ class TestPipelining:
         assert stats.parts_sent == len(units)  # every record streamed
         assert coordinator.wire.frames_in > 0
 
+    def test_each_thing_is_sent_once(self, monkeypatch):
+        # One in-process worker on adaptive leases over loopback: each
+        # unit sends one result-part and one heartbeat and gets one
+        # beat back, and no frame header has its top bit set.
+        sent = Counter()
+        top_bits = []
+        encode = protocol.encode_frame
+
+        def counted(message):
+            frame = encode(message)
+            sent[message["type"]] += 1
+            top_bits.append(frame[0] & 0x80)
+            return frame
+
+        monkeypatch.setattr(protocol, "encode_frame", counted)
+        units = _units(n=12)
+        coordinator = Coordinator(units)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        stats = WorkerStats()
+        run_worker(host, port, name="once", stats=stats)
+        thread.join(timeout=60)
+        assert [r.key for r in box["records"]] == [u.key for u in units]
+        assert sent["result-part"] == len(units)
+        assert sent["heartbeat"] == sent["beat"] == len(units)
+        assert sent["result"] == stats.leases_served
+        assert not any(top_bits)
+        wire = coordinator.wire
+        frames = wire.frames_out + wire.frames_in
+        assert wire.wire_out + wire.wire_in == (
+            wire.raw_out + wire.raw_in + 4 * frames
+        )
+
+    def test_heartbeat_keeps_the_buffered_prefetch_held(self):
+        # A worker heartbeats only the lease it executes; the lease it
+        # prefetched stays held past its own timeout, because every
+        # heartbeat extends every lease of the connection.
+        units = _units(n=2)
+        coordinator = Coordinator(units, units_per_lease=1, lease_timeout=0.3)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.settimeout(10)
+        decoder = FrameDecoder()
+        try:
+            send_message(
+                sock,
+                {
+                    "type": "hello",
+                    "worker": "beater",
+                    "protocol": PROTOCOL_VERSION,
+                },
+            )
+            assert recv_message(sock, decoder)["type"] == "welcome"
+            send_message(sock, {"type": "request"})
+            executing = recv_message(sock, decoder)["lease"]
+            send_message(sock, {"type": "request"})
+            prefetched = recv_message(sock, decoder)["lease"]
+            until = time.monotonic() + 0.9
+            while time.monotonic() < until:
+                send_message(sock, {"type": "heartbeat", "lease": executing})
+                assert recv_message(sock, decoder)["held"] is True
+                time.sleep(0.05)
+            send_message(sock, {"type": "heartbeat", "lease": prefetched})
+            assert recv_message(sock, decoder) == {
+                "type": "beat",
+                "lease": prefetched,
+                "held": True,
+            }
+        finally:
+            sock.close()
+        run_worker(host, port, name="closer")
+        thread.join(timeout=30)
+        assert [r.to_json() for r in box["records"]] == [
+            r.to_json() for r in run_units(units, SERIAL)
+        ]
+
     def test_retire_releases_a_buffered_prefetched_lease(self):
         left, right = socket.socketpair()
         left.settimeout(10)
@@ -539,7 +482,12 @@ class TestResultPartStreaming:
         decoder = FrameDecoder()
         try:
             send_message(
-                sock, {"type": "hello", "worker": "streamer", "protocol": 3}
+                sock,
+                {
+                    "type": "hello",
+                    "worker": "streamer",
+                    "protocol": PROTOCOL_VERSION,
+                },
             )
             assert recv_message(sock, decoder) == {
                 "type": "welcome",
@@ -564,16 +512,11 @@ class TestResultPartStreaming:
                     "records": [records[1].to_json()],
                 },
             )
-            # Final result carries no records — everything already
-            # streamed — yet must settle the whole lease.
+            # The result carries no records, only the timing (and any
+            # failures), yet settles the whole lease.
             send_message(
                 sock,
-                {
-                    "type": "result",
-                    "lease": lease_id,
-                    "records": [],
-                    "elapsed_s": 0.5,
-                },
+                {"type": "result", "lease": lease_id, "elapsed_s": 0.5},
             )
             assert recv_message(sock, decoder)["type"] == "done"
         finally:
@@ -817,9 +760,3 @@ class TestCliLeaseFlags:
         args = self._parser().parse_args(["experiment", "table5"])
         assert args.units_per_lease is None
         assert args.lease_target_s == pytest.approx(2.0)
-
-    def test_legacy_lease_units_alias_still_parses(self):
-        args = self._parser().parse_args(
-            ["coordinate", "table5", "--lease-units", "4"]
-        )
-        assert args.units_per_lease == 4

@@ -18,11 +18,10 @@ import socket
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.dist import (
-    COMPRESS_FLAG,
     Coordinator,
     FrameDecoder,
     LeaseTable,
@@ -405,7 +404,7 @@ class TestSocketFaults:
         try:
             with pytest.raises(ConnectionResetError):
                 send_message(
-                    left, {"type": "result", "lease": 1, "records": []}
+                    left, {"type": "result", "lease": 1, "failed": []}
                 )
         finally:
             left.close()
@@ -860,7 +859,7 @@ class TestFrameDecoderFuzz:
     def test_single_byte_corruption_of_valid_frame(self, flip_at, flip_to):
         frame = bytearray(
             encode_frame(
-                {"type": "result", "lease": 3, "records": [{"k": "v"}]}
+                {"type": "result-part", "lease": 3, "records": [{"k": "v"}]}
             )
         )
         frame[flip_at % len(frame)] = flip_to
@@ -877,13 +876,11 @@ class TestFrameDecoderFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        # Any header whose *masked* length exceeds MAX_FRAME must be
-        # refused — with or without the compress bit (the top bit).
-        length=st.one_of(
-            st.integers(MAX_FRAME + 1, COMPRESS_FLAG - 1),
-            st.integers(COMPRESS_FLAG + MAX_FRAME + 1, 2**32 - 1),
-        )
+        # Any header above MAX_FRAME must be refused, those with the top
+        # bit set included.
+        length=st.integers(MAX_FRAME + 1, 2**32 - 1)
     )
+    @example(length=0x8000_0000 | 100)  # a v3 compressed-frame header
     def test_oversized_length_prefix_always_refused(self, length):
         decoder = FrameDecoder()
         with pytest.raises(ProtocolError, match="exceeds"):

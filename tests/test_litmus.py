@@ -150,15 +150,3 @@ class TestRunner:
                             randomise=True)
         assert 0 <= result.weak <= 30
 
-
-class TestTally:
-    def test_tally_accumulates_and_ranks(self):
-        from repro.litmus.results import Tally
-
-        tally = Tally()
-        tally.add("a", 3)
-        tally.add("a", 2)
-        tally.add("b", 10)
-        assert tally.score("a") == 5
-        assert tally.ranked()[0] == ("b", 10)
-        assert tally.score("missing") == 0

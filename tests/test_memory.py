@@ -560,11 +560,18 @@ class TestChannelFastPath:
                 ) % chip.n_channels
 
     def test_memory_uses_same_mapping(self):
-        chip = get_chip("980")  # 64-word patches
-        mem = MemorySystem(chip, StressField.zero(chip))
-        mem.write(0, 0, 3 * chip.patch_size + 5, 1)
-        entry = mem.sm_buffers[0][0]
-        assert entry[3] == chip.channel(3 * chip.patch_size + 5)
+        # 980 takes the shift-and-mask form; C2075's 6 channels take
+        # the division form.
+        assert get_chip("980").channel_shift is not None
+        assert get_chip("C2075").channel_shift is None
+        for name in ("980", "C2075"):
+            chip = get_chip(name)
+            for addr in (3 * chip.patch_size + 5, 7 * chip.patch_size):
+                mem = MemorySystem(chip, StressField.zero(chip))
+                mem.write(0, 0, addr, 1)
+                assert mem.sm_buffers[0][0][3] == chip.channel(addr)
+                handle = mem.issue_load(1, 1, addr + 1)
+                assert handle.ch == chip.channel(addr + 1)
 
 
 class TestBufferedRNGIntegration:
