@@ -189,10 +189,6 @@ class Coordinator:
             self.port = listener.getsockname()[1]
         return self.host, self.port
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
-
     def serve(self) -> list[RunRecord]:
         """Run the event loop to completion; records in unit order.
 

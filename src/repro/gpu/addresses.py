@@ -91,7 +91,3 @@ class AddressSpace:
     def words_used(self) -> int:
         """Total extent of the allocated address range, in words."""
         return self._next
-
-    def buffers(self) -> list[Buffer]:
-        """All allocated buffers, in allocation order."""
-        return list(self._buffers.values())

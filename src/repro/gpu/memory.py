@@ -39,9 +39,11 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
 * The per-channel probability tables are pure functions of
   ``(chip, pressure vector, turbulence, weak_scale)`` and are memoized
   in a module-level LRU — a tuning grid or campaign revisits the same
-  handful of pressure shapes millions of times.  Cached tables are
-  plain Python lists (scalar indexing is ~4x cheaper than numpy
-  element access) and are shared between instances; never mutate them.
+  handful of pressure shapes millions of times.  An entry holds the
+  tables as packed C doubles; the plain Python lists a memory system
+  indexes (scalar indexing is ~4x cheaper than numpy element access)
+  are unpacked on first use and shared between instances; never
+  mutate them.
 * Each SM's buffer list is the only record of the stores it holds.
   The buffers stay short — under a campaign load an SM's buffer holds
   0.28 entries on average (at most 14), and under tuning at most one —
@@ -63,9 +65,9 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   ``_resolve_matching``, ``drain_until`` and ``flush_all``), draw for
   draw.  A change to that subset changes the kernel too;
   ``tests/test_native_litmus.py`` fails until the two agree.
-  :class:`MemoryTables` keeps the kernel's packed copy of the tables
-  in the same LRU entry, and :func:`native_chip` packs the constants
-  it reads off the profile.
+  :class:`MemoryTables` packs the kernel's tables straight from the
+  numpy arrays, and :func:`native_chip` packs the constants it reads
+  off the profile.
 
 None of this changes a single random draw: every decision consumes the
 same generator stream, in the same order, as the original scan-based
@@ -78,7 +80,6 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Callable
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -137,20 +138,30 @@ def _bleed_matrix(n: int) -> np.ndarray:
     return bleed
 
 
-class MemoryTables(tuple):
-    """``(drain_p, swap_p, bypass_p, slow_p, resolve_p)`` as plain lists
-    (``swap_p`` is a list of rows), plus the same tables packed for the
-    native litmus kernel on first use, in the same LRU entry."""
+class MemoryTables:
+    """The per-channel probability tables of one (chip, field, scale).
+
+    ``packed`` holds them as C doubles in the native litmus kernel's
+    order: ``drain_p``, ``bypass_p``, ``slow_p``, ``resolve_p``, then
+    ``swap_p`` row by row (see ``repro/litmus/native.c``).  ``lists``
+    unpacks them, on first use, into ``(drain_p, swap_p, bypass_p,
+    slow_p, resolve_p)`` as plain lists (``swap_p`` a list of rows) for
+    the Python paths, so a cache entry only the kernel reads holds no
+    lists."""
+
+    def __init__(self, n_channels: int, packed: bytes):
+        self.n_channels = n_channels
+        self.packed = packed
 
     @cached_property
-    def packed(self) -> bytes:
-        """The tables as C doubles in the kernel's order: ``drain_p``,
-        ``bypass_p``, ``slow_p``, ``resolve_p``, then ``swap_p`` row by
-        row (see ``repro/litmus/native.c``)."""
-        drain_p, swap_p, bypass_p, slow_p, resolve_p = self
-        return array(
-            "d", chain(drain_p, bypass_p, slow_p, resolve_p, *swap_p)
-        ).tobytes()
+    def lists(self) -> tuple[list, list, list, list, list]:
+        n = self.n_channels
+        flat = array("d", self.packed).tolist()
+        drain_p, bypass_p, slow_p, resolve_p = (
+            flat[k * n:(k + 1) * n] for k in range(4)
+        )
+        swap_p = [flat[(4 + r) * n:(5 + r) * n] for r in range(n)]
+        return drain_p, swap_p, bypass_p, slow_p, resolve_p
 
 
 def native_chip(profile: HardwareProfile, addrs) -> tuple[bytes, bytes]:
@@ -236,13 +247,10 @@ def _compute_tables(
     )
     assert drain_p.shape == (n,)
 
-    return MemoryTables((
-        drain_p.tolist(),
-        swap_p.tolist(),
-        bypass_p.tolist(),
-        slow_p.tolist(),
-        resolve_p.tolist(),
-    ))
+    return MemoryTables(n, np.concatenate(
+        (drain_p, bypass_p, slow_p, resolve_p, swap_p.ravel()),
+        dtype=np.float64,
+    ).tobytes())
 
 
 class DeferredLoad:
@@ -344,7 +352,7 @@ class MemorySystem:
             self.bypass_p,
             self.slow_p,
             self.resolve_p,
-        ) = memory_tables(self.profile, self.stress, self.weak_scale)
+        ) = memory_tables(self.profile, self.stress, self.weak_scale).lists
 
     def set_stress(self, stress: StressField) -> None:
         """Swap the stress field (e.g. once a scratchpad is allocated)."""

@@ -30,6 +30,7 @@ from ..parallel import (
     merge_check_shards,
     parallel_map,
     shard_ranges,
+    shared_pool,
 )
 from ..rng import derive_seed
 from ..scale import DEFAULT, Scale
@@ -154,7 +155,7 @@ class EmpiricalFenceInserter:
         """True when A+F shows no errors over ``iterations`` runs.
 
         Candidate evaluation is the hot loop of Algorithm 1, so the run
-        budget is sharded across worker processes.  Each run's seed
+        budget is sharded across the shared worker pool.  Each run's seed
         depends only on the check counter at call entry plus the run's
         index, and the counter advances by the number of runs a *serial*
         early-exiting loop would have performed (the first erroneous
@@ -179,6 +180,7 @@ class EmpiricalFenceInserter:
                     )
                 ],
                 self.parallel,
+                pool=shared_pool(self.parallel),
             )
             first = merge_check_shards(shards, iterations)
         performed = iterations if first is None else first + 1

@@ -1,20 +1,44 @@
 /*
  * Native core of the direct litmus runner (repro.litmus.runner).
  *
- * One call runs one whole execution of a two-thread ld/st litmus test:
- * up to `rounds` rounds, stopping at the first round that shows the
- * forbidden outcome.  It is a second implementation of the part of
- * repro.gpu.memory.MemorySystem those rounds reach (write, issue_load,
- * the deferred-load and store-buffer steps, commit, drain_until and
- * flush_all) and of runner._one_round on this shape.  It consumes the
- * PCG64 stream draw for draw as the Python path does, so every
- * statistic is identical; change the two together
+ * It carries one execution's PCG64 stream from seeding to the last
+ * round.  repro_pcg64_seed computes the stream the Python path would
+ * build with np.random.default_rng(derive_seed(span_seed, index)) and
+ * pre-draws its first block; repro_pcg64_fill pre-draws the next one.
+ * Python makes the stress spec's draws from those blocks
+ * (repro.rng.BufferedRNG's emulation), and repro_ldst2_execution then
+ * continues the same stream in place.
+ *
+ * repro_ldst2_execution runs one whole execution of a two-thread ld/st
+ * litmus test: up to `rounds` rounds, stopping at the first round that
+ * shows the forbidden outcome.  It is a second implementation of the
+ * part of repro.gpu.memory.MemorySystem those rounds reach (write,
+ * issue_load, the deferred-load and store-buffer steps, commit,
+ * drain_until and flush_all) and of runner._one_round on this shape.
+ * It consumes the PCG64 stream draw for draw as the Python path does,
+ * so every statistic is identical; change the two together
  * (tests/test_native_litmus.py holds them equal).
  *
  * Plain C99 plus the gcc/clang `unsigned __int128` extension for the
  * PCG64 step; no Python headers.  repro.litmus.native builds and loads
  * it with ctypes.  Nothing here is a silent limit: every array is sized
  * from the plan and the chip on each call.
+ *
+ * The stream words `rng` (uint64[6]) are numpy's PCG64 state schema:
+ * state (high, low), increment (high, low), has_uint32, uinteger.  The
+ * state stands after the last pre-drawn word; the pending half word is
+ * the caller's to keep between calls.
+ *
+ *   repro_pcg64_seed(span_seed, index, rng, raw, dbl, n)
+ *           seeds `rng` for execution `index` in four public steps:
+ *           derive_seed's last fold (CRC-32 of the decimal digits of
+ *           `index`), numpy's SeedSequence mixing of the fold's one or
+ *           two 32-bit words, SeedSequence.generate_state(4, uint64)
+ *           and PCG64 seeding (pcg_setseq_128_srandom_r); then fills
+ *           as below.
+ *   repro_pcg64_fill(rng, raw, dbl, n)
+ *           draws n raw words into raw[] and the same words as
+ *           numpy's next_double into dbl[], advancing the state.
  *
  * Arguments of repro_ldst2_execution (all words are int64, every table
  * is float64, "slot" is a location's index in test.locations):
@@ -34,8 +58,11 @@
  *           swap_p[n][n] (n = n_channels).
  *   p0, p1  the two threads' per-tick issue probabilities.
  *   sm0     the SM of thread 0 (0 or 1); thread 1 sits on the other.
- *   rng     in/out: PCG64 state (high, low), increment (high, low),
- *           has_uint32, uinteger -- numpy's state schema.
+ *   rng     in/out: the stream words, with the caller's pending half
+ *           word in has_uint32/uinteger.
+ *   unread  pre-drawn words the caller did not consume; the kernel
+ *           steps the state back past them first.  On return the words
+ *           hold the position after the execution, nothing pre-drawn.
  *
  * Returns 1 when a round was weak, 0 when none was, and a negative
  * error code when the workspace cannot be allocated (-1) or a buffer
@@ -55,7 +82,7 @@ enum { LEAF_REG = 0, LEAF_LOC = 1 };
 enum { WAIT_NONE = 0, WAIT_CHANNEL = 1, WAIT_STORES = 2, WAIT_LOAD = 3 };
 
 /* ---------------------------------------------------------------------
- * PCG64 (XSL-RR 128/64) and numpy's output functions over it.
+ * PCG64 (XSL-RR 128/64), its seeding, and numpy's output functions.
  * ------------------------------------------------------------------ */
 
 typedef struct {
@@ -67,6 +94,9 @@ typedef struct {
 
 #define PCG_MULT \
     ((((u128)2549297995355413924ULL) << 64) | (u128)4865540595714422341ULL)
+/* PCG_MULT's inverse modulo 2**128: one step back. */
+#define PCG_MULT_INV \
+    ((((u128)0x07dda22b93979860ULL) << 64) | (u128)0x98abc8b0716eac8dULL)
 
 /* Step first, then output (numpy's pcg64_random_r). */
 static inline uint64_t rng_raw(Rng *r)
@@ -78,9 +108,134 @@ static inline uint64_t rng_raw(Rng *r)
 }
 
 /* numpy's next_double: (raw >> 11) * 2**-53. */
+static inline double to_double(uint64_t raw)
+{
+    return (double)(raw >> 11) * (1.0 / 9007199254740992.0);
+}
+
 static inline double rng_double(Rng *r)
 {
-    return (double)(rng_raw(r) >> 11) * (1.0 / 9007199254740992.0);
+    return to_double(rng_raw(r));
+}
+
+static void rng_load(Rng *r, const uint64_t *w)
+{
+    r->state = ((u128)w[0] << 64) | w[1];
+    r->inc = ((u128)w[2] << 64) | w[3];
+    r->has32 = w[4] != 0;
+    r->u32 = (uint32_t)w[5];
+}
+
+static void rng_store(const Rng *r, uint64_t *w)
+{
+    w[0] = (uint64_t)(r->state >> 64);
+    w[1] = (uint64_t)r->state;
+    w[2] = (uint64_t)(r->inc >> 64);
+    w[3] = (uint64_t)r->inc;
+    w[4] = (uint64_t)r->has32;
+    w[5] = r->u32;
+}
+
+/* zlib's CRC-32 of the ASCII decimal digits of v (repr of an int). */
+static uint32_t crc32_decimal(uint64_t v)
+{
+    char digits[20];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    uint32_t crc = 0xFFFFFFFFu;
+    while (n--) {
+        crc ^= (uint8_t)digits[n];
+        for (int b = 0; b < 8; b++)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+/* numpy's SeedSequence constants (bit_generator.pyx). */
+enum { SS_POOL = 4 };
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SS_MIX_L * x - SS_MIX_R * y;
+    return result ^ (result >> 16);
+}
+
+/* np.random.default_rng(entropy): SeedSequence(entropy) mixes the
+ * entropy's 32-bit words (low first) into its four-word pool, padding
+ * with zeros, so a one-word entropy below 2**32 fills the pool as its
+ * two-word form would; generate_state(4, uint64) pairs eight outputs
+ * low-first, and PCG64 seeds from state = (s[0], s[1]), sequence =
+ * (s[2], s[3]). */
+static void rng_seed(Rng *r, uint64_t entropy)
+{
+    uint32_t words[SS_POOL] = {
+        (uint32_t)entropy, (uint32_t)(entropy >> 32), 0, 0,
+    };
+    uint32_t pool[SS_POOL];
+    uint32_t hash_const = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = ss_hashmix(words[i], &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst],
+                                   ss_hashmix(pool[src], &hash_const));
+    uint64_t s[4] = {0, 0, 0, 0};
+    hash_const = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        v *= hash_const;
+        v ^= v >> 16;
+        s[i / 2] |= (uint64_t)v << (32 * (i % 2));
+    }
+    /* pcg_setseq_128_srandom_r: from state 0, one step (to inc), add
+     * the initial state, one more step. */
+    r->inc = ((((u128)s[2] << 64) | s[3]) << 1) | 1u;
+    r->state = r->inc;
+    r->state += ((u128)s[0] << 64) | s[1];
+    r->state = r->state * PCG_MULT + r->inc;
+    r->has32 = 0;
+    r->u32 = 0;
+}
+
+void repro_pcg64_fill(uint64_t *rng, uint64_t *raw, double *dbl, int64_t n)
+{
+    Rng r;
+    rng_load(&r, rng);
+    for (int64_t k = 0; k < n; k++) {
+        raw[k] = rng_raw(&r);
+        dbl[k] = to_double(raw[k]);
+    }
+    rng_store(&r, rng);
+}
+
+void repro_pcg64_seed(uint64_t span_seed, uint64_t index, uint64_t *rng,
+                      uint64_t *raw, double *dbl, int64_t n)
+{
+    Rng r;
+    /* derive_seed(span_seed, index) */
+    rng_seed(&r, span_seed * 6364136223846793005ULL
+                 + crc32_decimal(index) + 1u);
+    rng_store(&r, rng);
+    repro_pcg64_fill(rng, raw, dbl, n);
 }
 
 /* numpy's next_uint32: the low half first, the high half kept. */
@@ -516,7 +671,8 @@ static int one_round(K *k)
 
 int repro_ldst2_execution(const int64_t *plan, const int64_t *chip,
                           const double *factors, const double *tables,
-                          double p0, double p1, int sm0, uint64_t *rng)
+                          double p0, double p1, int sm0, uint64_t *rng,
+                          int64_t unread)
 {
     K k;
     memset(&k, 0, sizeof k);
@@ -552,10 +708,9 @@ int repro_ldst2_execution(const int64_t *plan, const int64_t *chip,
     k.exec_p[1] = p1;
     k.sm[0] = sm0;
     k.sm[1] = 1 - sm0;
-    k.rng.state = ((u128)rng[0] << 64) | rng[1];
-    k.rng.inc = ((u128)rng[2] << 64) | rng[3];
-    k.rng.has32 = rng[4] != 0;
-    k.rng.u32 = (uint32_t)rng[5];
+    rng_load(&k.rng, rng);
+    for (int64_t i = 0; i < unread; i++)
+        k.rng.state = (k.rng.state - k.rng.inc) * PCG_MULT_INV;
 
     /* Size the workspace: a thread buffers at most its own stores and
      * at most the chip's capacity; a round issues each load once. */
@@ -588,9 +743,6 @@ int repro_ldst2_execution(const int64_t *plan, const int64_t *chip,
     if (k.error)
         return k.error;
 
-    rng[0] = (uint64_t)(k.rng.state >> 64);
-    rng[1] = (uint64_t)k.rng.state;
-    rng[4] = (uint64_t)k.rng.has32;
-    rng[5] = k.rng.u32;
+    rng_store(&k.rng, rng);
     return weak;
 }

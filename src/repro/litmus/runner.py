@@ -18,11 +18,11 @@ and ``rmw`` goes through the atomic pipeline.
 
 Two-thread ld/st tests (MP, LB, SB and kin: the Sec. 3 tuning
 workload) run each execution in one call of the native kernel
-(:mod:`repro.litmus.native`), which draws the stream exactly as
-:func:`_one_round` does.  Everything else, every run that records
-outcomes, and every run on a host without a C compiler goes through
-:func:`_one_round`, the general interpreter and the kernel's test
-oracle.
+(:mod:`repro.litmus.native`), on a stream seeded in C, which it draws
+exactly as :func:`_one_round` draws the numpy-seeded one.  Everything
+else, every run that records outcomes, and every run on a host without
+a C compiler goes through :func:`_one_round`, the general interpreter
+and the kernel's test oracle.
 
 The N threads are placed on N distinct SMs (the paper configures the
 communicating threads in distinct blocks); chips model at least 8 SMs,
@@ -48,6 +48,7 @@ from ..parallel import (
     merge_litmus_shards,
     parallel_map,
     shard_ranges,
+    shared_pool,
 )
 from ..rng import BufferedRNG, derive_seed, make_rng
 from . import native
@@ -438,10 +439,13 @@ def _litmus_span(
     is the same.
 
     A two-thread ld/st test that records no outcomes runs each
-    execution in one native kernel call when the kernel is available.
-    No :class:`MemorySystem` exists then; the probability tables are
-    looked up, as ``MemorySystem.reset`` would, only when the stress
-    field object changes.
+    execution in one native kernel call when the kernel is available,
+    on a :class:`~repro.litmus.native.NativeStream`: C seeds each
+    execution's stream (no numpy generator is built), the stress spec
+    draws from it through the same emulation, and the kernel continues
+    it in place.  No :class:`MemorySystem` exists then; the probability
+    tables are looked up, as ``MemorySystem.reset`` would, only when
+    the stress field object changes.
     """
     weak = 0
     mem: MemorySystem | None = None
@@ -450,12 +454,9 @@ def _litmus_span(
     plan = _round_plan(instance)
     if outcomes is not None:
         plan = _recording_plan(plan, instance.test, outcomes)
-    kernel = None
+    lib = None
     if plan.packed is not None and outcomes is None:
-        kernel = native.kernel()
-    if kernel is not None:
-        chip, factors = native_chip(profile, plan.addrs)
-        tables_field = tables = None
+        lib = native.kernel()
     n_threads = len(plan.programs)
     build = stress_spec.build
     # derive_seed is a left fold over the labels, so hoisting the
@@ -463,10 +464,17 @@ def _litmus_span(
     span_seed = derive_seed(
         seed, profile.short_name, instance.test.name, instance.distance
     )
+    if lib is not None:
+        stream = native.NativeStream(lib, span_seed)
+        chip, factors = native_chip(profile, plan.addrs)
+        tables_field = tables = None
     for i in range(start, stop):
-        rng = BufferedRNG(make_rng(span_seed, i))
+        if lib is not None:
+            rng = stream.seed(i)
+        else:
+            rng = BufferedRNG(make_rng(span_seed, i))
         field = build(profile, scratch_base, scratch_size, rng)
-        if kernel is not None:
+        if lib is not None:
             if field is not tables_field:
                 tables = memory_tables(profile, field, 1.0).packed
                 tables_field = field
@@ -483,10 +491,9 @@ def _litmus_span(
             )
         else:
             exec_p = (_EXEC_P,) * n_threads
-        if kernel is not None:
-            weak += native.run_execution(
-                kernel, plan.packed, chip, factors, tables, exec_p, sms[0],
-                rng,
+        if lib is not None:
+            weak += stream.execute(
+                plan.packed, chip, factors, tables, exec_p, sms[0]
             )
             continue
         hit = False
@@ -532,7 +539,9 @@ def _run_backend(
     of whole ``block``s (the vector backend's mega-batches; single
     executions elsewhere), runs ``span`` over each shard — in-process,
     or on a worker pool when ``parallel`` asks for one — and merges the
-    shards into one :class:`LitmusResult`.  ``span`` is called as
+    shards into one :class:`LitmusResult`.  A worker pool is the
+    shared one for the worker count, so successive runs spawn it once.
+    ``span`` is called as
     ``span(profile, instance, stress_spec, seed, randomise, start, stop,
     sink)`` and seeds from global indices, so every sharding yields the
     same result, outcome histogram included.
@@ -550,6 +559,7 @@ def _run_backend(
             for lo, hi in shard_ranges(n_blocks, config)
         ],
         config,
+        pool=shared_pool(config),
     )
     weak = merge_litmus_shards(shards, executions)
     histogram = None

@@ -263,7 +263,7 @@ def _field_row(profile, field, chans, pairs) -> tuple:
     """One lane's probability row: the tables at the plan's channels."""
     drain_p, swap_p, bypass_p, slow_p, resolve_p = memory_tables(
         profile, field, 1.0
-    )
+    ).lists
     return (
         tuple(drain_p[c] for c in chans)
         + tuple(bypass_p[c] for c in chans)

@@ -14,6 +14,7 @@ import atexit
 import os
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..errors import ReproError, ResultHookError
@@ -116,7 +117,8 @@ def shared_pool(config: ParallelConfig) -> ProcessPoolExecutor | None:
     The pool persists across calls (closed at interpreter exit or via
     :func:`close_shared_pools`); pass it to :func:`parallel_map`'s
     ``pool`` argument.  Results never depend on pool reuse — only the
-    spawn overhead changes.
+    spawn overhead changes.  A map that finds its shared pool broken (a
+    child died) raises and drops it, so the next call builds a new one.
     """
     if config.serial:
         return None
@@ -202,9 +204,23 @@ def parallel_map(
     workers = min(config.resolve_jobs(), len(work))
     chunksize = max(1, len(work) // (workers * CHUNKS_PER_JOB))
     if pool is not None:
-        return _pooled_map(fn, work, chunksize, on_result, pool)
+        try:
+            return _pooled_map(fn, work, chunksize, on_result, pool)
+        except BrokenProcessPool:
+            _forget_shared(pool)
+            raise
     with ProcessPoolExecutor(max_workers=workers) as own_pool:
         return _pooled_map(fn, work, chunksize, on_result, own_pool)
+
+
+def _forget_shared(pool: ProcessPoolExecutor) -> None:
+    """Drop a pool whose child died from the shared cache: a broken
+    pool refuses every later submission, so the next map on its worker
+    count must start a fresh one."""
+    for workers, shared in list(_SHARED_POOLS.items()):
+        if shared is pool:
+            del _SHARED_POOLS[workers]
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _pooled_map(

@@ -12,11 +12,14 @@ another.
 Hot loops draw through :class:`BufferedRNG`, which serves scalar draws
 from block pre-draws of a PCG64 generator's own stream and hands every
 other draw to the generator at the same stream position, so a run is
-bit-identical with and without the wrapper.
+bit-identical with and without the wrapper.  The native litmus kernel's
+:class:`~repro.litmus.native.NativeStream` is the same wrapper over
+blocks pre-drawn in C from a stream seeded in C.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from functools import partial
 
@@ -73,33 +76,34 @@ class BufferedRNG:
     * scalar ``integers`` over a one-value range — ``low``, drawing
       nothing, as numpy does;
     * ``choice(n, size=k, replace=False)`` — numpy's Floyd sampling
-      plus result shuffle over the same bounded 32-bit draws.
+      plus result shuffle over the same bounded 32-bit draws;
+    * scalar ``uniform(low, high)`` over a finite, non-negative float
+      range — numpy's ``random_uniform``, ``low + (high - low) *
+      next_double``, with the same two roundings.
 
     Because every emulation consumes the identical stream the real
     calls would have consumed, every downstream statistic is unchanged
     (the golden-statistics suite and ``tests/test_rng.py`` pin this
     against real ``Generator`` histories).
 
-    Any other draw (``uniform``, ``dirichlet``, vector ``integers``,
-    any ``Generator`` method served through attribute lookup, …)
-    *delegates* to the real generator through :meth:`_delegate`, which
-    syncs when the method is called: it rewinds the bit generator past
-    the unconsumed pre-draws (``PCG64.advance`` by ``2**128 -
-    leftover``; one double is one 64-bit step) and installs any pending
-    half word into the real generator's state; after the call it
-    captures a half word the call left buffered back out.  The real
-    generator is therefore indistinguishable from one with a
-    scalar-only history at every delegation boundary, even for a method
-    looked up long before it is called.
+    Any other ``Generator`` method (``dirichlet``, vector ``integers``,
+    a ``uniform`` bound numpy rejects, …) *delegates* to the real
+    generator through :meth:`_delegate`, which syncs when the method is
+    called: it rewinds the bit generator past the unconsumed pre-draws
+    (``PCG64.advance`` by ``2**128 - leftover``; one double is one
+    64-bit step) and installs any pending half word into the real
+    generator's state; after the call it captures a half word the call
+    left buffered back out.  The real generator is therefore
+    indistinguishable from one with a scalar-only history at every
+    delegation boundary, even for a method looked up long before it is
+    called.
 
     The emulation is PCG64-specific (64-bit raw words, one word per
     double, ``advance`` rewind, the ``has_uint32``/``uinteger`` state
     schema), so only a ``Generator`` over ``PCG64`` or ``PCG64DXSM`` is
-    accepted.
-
-    Native code takes the stream over through :meth:`pcg64_state` and
-    hands it back through :meth:`set_pcg64_state` (PCG64 only), which
-    leaves the wrapper where the same draws made in Python would.
+    accepted.  A subclass may draw its blocks elsewhere by overriding
+    :meth:`_refill`, :meth:`_sync` and :meth:`_capture` (see
+    :class:`~repro.litmus.native.NativeStream`).
     """
 
     __slots__ = ("gen", "_bit", "_raw", "_dbuf", "_i", "_n", "_has32", "_u32")
@@ -159,6 +163,21 @@ class BufferedRNG:
             return self._delegate("integers", low, high)
         return lo + self._lemire32(span + 1)
 
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniform double(s) in ``[low, high)``.  A scalar draw over a
+        finite, non-negative range of Python numbers is served from the
+        block; anything else delegates (numpy raises on a bad range)."""
+        if (
+            size is None
+            and (type(low) is float or type(low) is int)
+            and (type(high) is float or type(high) is int)
+        ):
+            lo = float(low)
+            span = float(high) - lo
+            if 0.0 <= span < math.inf:
+                return lo + span * self.random()
+        return self._delegate("uniform", low, high, size=size)
+
     def _lemire32(self, span_excl: int) -> int:
         """One bounded draw from ``[0, span_excl)`` — numpy's Lemire
         rejection over 32-bit halves (``span_excl`` must fit 32 bits;
@@ -202,13 +221,15 @@ class BufferedRNG:
     # ------------------------------------------------------------------
     def _delegate(self, name: str, *args, **kwargs):
         """Call the real generator's ``name`` at the logical stream
-        position: sync, call, then capture (a pending half word
-        installed by the sync survives double-only draws and must come
-        back under the wrapper's ownership)."""
+        position: sync, call, then capture, also when the call raises
+        (a pending half word installed by the sync survives double-only
+        draws and refused calls, and must come back under the wrapper's
+        ownership)."""
         self._sync()
-        out = getattr(self.gen, name)(*args, **kwargs)
-        self._capture()
-        return out
+        try:
+            return getattr(self.gen, name)(*args, **kwargs)
+        finally:
+            self._capture()
 
     def _sync(self) -> None:
         """Make the real generator's state equal the logical stream
@@ -220,8 +241,6 @@ class BufferedRNG:
             # One double = one 64-bit PCG64 step; step back past the
             # unconsumed tail (advance is modulo 2**128).
             self._bit.advance(_2POW128 - leftover)
-        self._raw = None
-        self._dbuf = []
         self._i = 0
         self._n = 0
         if self._has32:
@@ -230,45 +249,6 @@ class BufferedRNG:
             state["uinteger"] = self._u32
             self._bit.state = state
             self._has32 = False
-
-    def pcg64_state(self) -> tuple[int, int, int, int]:
-        """``(state, inc, has_uint32, uinteger)`` of the PCG64 stream at
-        the logical position, for a native consumer that continues the
-        stream and hands it back through :meth:`set_pcg64_state`.
-
-        Syncs first, so the unconsumed pre-draws are rewound and a
-        pending half word is in the returned state.  Only PCG64's
-        XSL-RR output is emulated natively; any other bit generator
-        (PCG64DXSM included) raises :class:`TypeError`.
-        """
-        if type(self._bit) is not np.random.PCG64:
-            raise TypeError(
-                "the PCG64 hand-off needs a PCG64 bit generator, not "
-                f"{type(self._bit).__name__}"
-            )
-        self._sync()
-        state = self._bit.state
-        pcg = state["state"]
-        return pcg["state"], pcg["inc"], state["has_uint32"], state["uinteger"]
-
-    def set_pcg64_state(
-        self, state: int, inc: int, has_uint32: int, uinteger: int
-    ) -> None:
-        """Continue from a stream position a native consumer reached
-        after :meth:`pcg64_state`; the pending half word, if any, is the
-        wrapper's own, as after a delegated draw."""
-        self._raw = None
-        self._dbuf = []
-        self._i = 0
-        self._n = 0
-        self._bit.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._has32 = bool(has_uint32)
-        self._u32 = uinteger
 
     def _capture(self) -> None:
         """Take ownership of the real generator's buffered half word
@@ -314,10 +294,10 @@ class BufferedRNG:
         )
 
     def __getattr__(self, name):
-        # Any other Generator attribute.  A method delegates when it is
-        # called, so one stored before later draws stays on the stream.
-        attr = getattr(self.gen, name)
-        if callable(attr):
+        # Any other Generator method.  It delegates when it is called,
+        # so one looked up before later draws stays on the stream.
+        if callable(getattr(np.random.Generator, name, None)):
             return partial(self._delegate, name)
-        self._sync()
-        return attr
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )

@@ -52,7 +52,7 @@ from repro.apps.registry import get_application
 from repro.chips import get_chip
 from repro.litmus import LB, MP, SB, get_test, native, run_litmus
 from repro.litmus.runner import LitmusInstance, _litmus_span
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, close_shared_pools
 from repro.rng import derive_seed
 from repro.stress.environment import standard_environments
 from repro.stress.strategies import NoStress, TunedStress
@@ -107,11 +107,17 @@ def _env_spec(chip_name: str, env: str):
 def _both_paths(run):
     """``run()`` with the native kernel (where it builds), then with it
     forced off so the Python rounds run; each must give the pinned
-    value."""
+    value.  The shared worker pools close around the second run, so
+    pool children fork with the kernel off and none outlives the
+    patch."""
     with_kernel = run()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(native, "_kernel", None)
-        return with_kernel, run()
+        close_shared_pools()
+        try:
+            return with_kernel, run()
+        finally:
+            close_shared_pools()
 
 
 @pytest.mark.parametrize(

@@ -500,12 +500,12 @@ class TestTableCache:
         field = StressField.from_locations(
             chip, 0, [0, chip.patch_size], 1.0, 640
         )
-        base = memory_tables(chip, field, 1.0)
-        assert memory_tables(chip, field, 0.5) != base
+        base = memory_tables(chip, field, 1.0).packed
+        assert memory_tables(chip, field, 0.5).packed != base
         other = StressField.from_locations(
             chip, 0, [0, 3 * chip.patch_size], 1.0, 640
         )
-        assert memory_tables(chip, other, 1.0) != base
+        assert memory_tables(chip, other, 1.0).packed != base
 
     def test_tables_match_direct_computation(self):
         """Cached tables are plain-list copies of the original numpy
@@ -516,7 +516,7 @@ class TestTableCache:
         )
         drain_p, swap_p, bypass_p, slow_p, resolve_p = memory_tables(
             chip, field, 1.0
-        )
+        ).lists
         n = chip.n_channels
         assert len(drain_p) == n
         assert len(swap_p) == n and all(len(row) == n for row in swap_p)

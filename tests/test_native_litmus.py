@@ -1,12 +1,13 @@
 """The native two-thread ld/st kernel against the Python rounds.
 
 ``repro.litmus.native`` runs each execution of a two-thread ld/st
-litmus test in C; ``runner._one_round`` is the Python interpreter it
-replaces and the oracle it is held to.  Both must draw the identical
-PCG64 stream, so for every execution the weak flag *and* the stream
-position afterwards must agree.  The position is compared through the
-next two draws of the execution's own ``BufferedRNG`` (a double and a
-bounded integer, so a pending 32-bit half word counts too).
+litmus test in C, on a stream it seeds in C; ``runner._one_round`` on a
+numpy-seeded ``BufferedRNG`` is the Python interpreter it replaces and
+the oracle it is held to.  Both must draw the identical PCG64 stream,
+so for every execution the weak flag *and* the stream position
+afterwards must agree.  The position is compared through the next two
+draws of the execution's own stream (a double and a bounded integer,
+so a pending 32-bit half word counts too).
 
 * a grid over every chip, every two-thread ld/st registry test, three
   stress shapes, six distances and randomise on/off;
@@ -14,26 +15,34 @@ bounded integer, so a pending 32-bit half word counts too).
 * hand-written programs for the paths those seldom reach: store
   forwarding, a chained load resolved by its own store's commit, a
   full store buffer and a register never loaded;
+* a stress spec whose draws the wrapper does not emulate, so the native
+  stream delegates to numpy and takes the position back;
+* C seeding against ``np.random.default_rng(derive_seed(...))``, and a
+  kernel-path span that builds no numpy generator at all (the stream's
+  draws are fuzzed against numpy in ``tests/test_rng.py``);
 * the build is not allowed to fail silently where a compiler exists,
   falls back to a private directory in a read-only package, and leaves
-  the Python rounds in charge when it cannot succeed;
-* the hand-off refuses bit generators the kernel does not emulate.
+  the Python rounds in charge when it cannot succeed.
 """
 
 from __future__ import annotations
 
+import random
 import shutil
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.rng
 from repro.chips import all_chips
 from repro.litmus import ALL_TESTS, native, runner
 from repro.litmus.ir import And, LocEq, Or, RegEq, ld, st as st_ins
 from repro.litmus.runner import LitmusInstance, _litmus_span, _round_plan
 from repro.litmus.tests import LitmusTest
-from repro.rng import BufferedRNG
+from repro.rng import BufferedRNG, derive_seed
 from repro.stress.strategies import (
     FixedLocationStress,
     NoStress,
@@ -57,15 +66,23 @@ def _traces(profile, instance, spec, seed, randomise, executions, python):
     """Per execution: (weak, next random(), next integers(0, 1000))."""
     made = []
 
-    class Recording(BufferedRNG):
+    class RecordingRNG(BufferedRNG):
         __slots__ = ()
 
         def __init__(self, gen):
             super().__init__(gen)
             made.append(self)
 
+    class RecordingStream(native.NativeStream):
+        __slots__ = ()
+
+        def __init__(self, lib, span_seed):
+            super().__init__(lib, span_seed)
+            made.append(self)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "BufferedRNG", Recording)
+        patch.setattr(runner, "BufferedRNG", RecordingRNG)
+        patch.setattr(native, "NativeStream", RecordingStream)
         if python:
             patch.setattr(native, "_kernel", None)
         flags = [
@@ -73,6 +90,7 @@ def _traces(profile, instance, spec, seed, randomise, executions, python):
             for i in range(executions)
         ]
     assert len(made) == executions
+    assert all(isinstance(rng, RecordingRNG) == python for rng in made)
     return [
         (flag, rng.random(), int(rng.integers(0, 1000)))
         for flag, rng in zip(flags, made)
@@ -274,22 +292,92 @@ def test_values_beyond_64_bits_are_refused():
         _round_plan(LitmusInstance.layout(_CHIPS[0], test, 64))
 
 
-def test_pcg64_hand_off_round_trips():
-    """Export then install, with nothing run in between, leaves every
-    later draw where a plain generator's history puts it."""
-    ref = np.random.default_rng(3)
-    wrapped = BufferedRNG(np.random.default_rng(3))
-    for step in range(40):
-        if step % 3 == 0:
-            wrapped.set_pcg64_state(*wrapped.pcg64_state())
-        if step % 2:
-            assert wrapped.random() == ref.random()
-        else:
-            assert wrapped.integers(0, 24) == ref.integers(0, 24)
-    assert wrapped.uniform(0.35, 0.95) == ref.uniform(0.35, 0.95)
+@dataclass(frozen=True)
+class _UnemulatedStress:
+    """Tuned stress after draws the wrapper hands to numpy: a normal, a
+    vector of integers and a ``uniform`` over an infinite range, which
+    numpy refuses without drawing."""
+
+    inner: TunedStress
+    name: str = "unemulated"
+
+    def build(self, profile, scratch_base, scratch_size, rng):
+        rng.standard_normal()
+        rng.integers(0, 5, size=3)
+        with pytest.raises(OverflowError):
+            rng.uniform(0.0, float("inf"))
+        return self.inner.build(profile, scratch_base, scratch_size, rng)
 
 
-def test_pcg64dxsm_is_refused():
-    rng = BufferedRNG(np.random.Generator(np.random.PCG64DXSM(1)))
-    with pytest.raises(TypeError, match="PCG64"):
-        rng.pcg64_state()
+@needs_kernel
+def test_delegated_draws_match_python_rounds():
+    for chip in _CHIPS:
+        spec = _UnemulatedStress(TunedStress(shipped_params(chip.short_name)))
+        instance = LitmusInstance.layout(chip, _LDST2[0], 2 * chip.patch_size)
+        for randomise in (False, True):
+            args = (chip, instance, spec, 13, randomise, 10)
+            assert _traces(*args, python=False) == _traces(
+                *args, python=True
+            ), (chip.short_name, randomise)
+
+
+def _fold_to(target: int, index: int) -> int:
+    """A span seed whose ``derive_seed`` fold with ``index`` is
+    ``target``: the fold's multiplier is odd, so it inverts."""
+    mult = 6364136223846793005
+    crc = zlib.crc32(repr(index).encode())
+    return (target - crc - 1) * pow(mult, -1, 1 << 64) % (1 << 64)
+
+
+@needs_kernel
+def test_c_seeding_matches_numpy():
+    """The seeded words are exactly the PCG64 state numpy seeds from
+    ``derive_seed(span_seed, index)``, over 10,000 pairs: arbitrary
+    seeds, indices up to 2**40, the fold 0 and folds below 2**32 (one
+    32-bit entropy word)."""
+    lib = native.kernel()
+    gen = random.Random(28)
+    pairs = [
+        (gen.getrandbits(64), gen.randrange(1 << gen.choice((4, 20, 41))))
+        for _ in range(7000)
+    ]
+    for index in (0, 1, 9, 10, 12345, (1 << 40) - 1, 1 << 40):
+        pairs.append((_fold_to(0, index), index))
+    for _ in range(3000):
+        index = gen.randrange(1 << 40)
+        pairs.append((_fold_to(gen.randrange(1 << 32), index), index))
+    folds = [derive_seed(span_seed, index) for span_seed, index in pairs]
+    assert folds.count(0) >= 7 and sum(f < 1 << 32 for f in folds) >= 3007
+    stream = native.NativeStream(lib, 0)
+    for span_seed, index in pairs:
+        lib.repro_pcg64_seed(
+            span_seed, index, stream.words, stream._raw, stream._dbuf, 0
+        )
+        state = np.random.default_rng(
+            derive_seed(span_seed, index)
+        ).bit_generator.state
+        words = list(stream.words)
+        assert (words[0] << 64 | words[1], words[2] << 64 | words[3]) == (
+            state["state"]["state"], state["state"]["inc"],
+        ), (span_seed, index)
+        assert words[4:] == [0, 0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a numpy generator was built")
+
+
+@needs_kernel
+@pytest.mark.parametrize("randomise", (False, True))
+def test_kernel_path_builds_no_numpy_generator(randomise, monkeypatch):
+    chip = _CHIPS[0]
+    spec = TunedStress(shipped_params(chip.short_name))
+    instance = LitmusInstance.layout(chip, _LDST2[0], 2 * chip.patch_size)
+    want = _litmus_span(chip, instance, spec, 5, randomise, 0, 200)
+    for module, name in (
+        (repro.rng, "make_rng"), (runner, "make_rng"),
+        (np.random, "default_rng"), (np.random, "PCG64"),
+        (np.random, "SeedSequence"),
+    ):
+        monkeypatch.setattr(module, name, _refuse)
+    assert _litmus_span(chip, instance, spec, 5, randomise, 0, 200) == want

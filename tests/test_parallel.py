@@ -327,9 +327,33 @@ class TestSharedPool:
         finally:
             close_shared_pools()
 
+    def test_broken_pool_is_replaced(self):
+        """A pool whose child died fails the map it broke; the next map
+        on that worker count gets a fresh pool."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.parallel import close_shared_pools, shared_pool
+
+        config = ParallelConfig(jobs=2)
+        try:
+            broken = shared_pool(config)
+            with pytest.raises(BrokenProcessPool):
+                parallel_map(_die, [1, 2], config, pool=broken)
+            fresh = shared_pool(config)
+            assert fresh is not broken
+            assert parallel_map(_square, [1, 2, 3], config, pool=fresh) == [
+                1, 4, 9,
+            ]
+        finally:
+            close_shared_pools()
+
 
 def _square(x):
     return x * x
+
+
+def _die(_x):
+    os._exit(3)
 
 
 class TestResultHookError:

@@ -7,6 +7,7 @@ import random as pyrandom
 import numpy as np
 import pytest
 
+from repro.litmus import native
 from repro.rng import BufferedRNG, derive_seed, make_rng
 
 
@@ -51,6 +52,55 @@ class TestMakeRng:
         assert isinstance(make_rng(0), np.random.Generator)
 
 
+#: ``uniform`` bounds the fuzz draws: finite, non-negative ranges the
+#: wrapper serves from the block, and ranges numpy refuses without
+#: drawing (``low > high``, infinite, NaN), which must raise alike.
+_UNIFORM_BOUNDS = (
+    (0.35, 0.95), (0.15, 0.5), (0, 1), (1, 3.5), (-2.0, -1.0), (2.0, 2.0),
+    (-0.0, 0.0), (0.95, 0.35), (1, 0), (0.0, float("inf")),
+    (-1e308, 1e308), (float("nan"), 1.0),
+)
+
+
+def _outcome(draw):
+    try:
+        return draw()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _fuzz(buf, ref, py, steps):
+    """``steps`` random emulated and delegated draws from ``buf`` and
+    ``ref``, asserting each pair equal."""
+    for _ in range(steps):
+        op = py.choice(
+            ["random", "random", "random", "i24", "ibig", "i1",
+             "uniform", "uniform", "choice", "perm", "vec"]
+        )
+        if op == "random":
+            assert buf.random() == ref.random()
+        elif op == "i24":
+            assert buf.integers(0, 24) == int(ref.integers(0, 24))
+        elif op == "ibig":
+            assert buf.integers(7, 13313) == int(ref.integers(7, 13313))
+        elif op == "i1":
+            assert buf.integers(1) == int(ref.integers(1))
+        elif op == "uniform":
+            low, high = py.choice(_UNIFORM_BOUNDS)
+            assert _outcome(lambda: buf.uniform(low, high)) == _outcome(
+                lambda: ref.uniform(low, high)
+            ), (low, high)
+        elif op == "choice":
+            assert (
+                buf.choice(64, size=2, replace=False).tolist()
+                == ref.choice(64, size=2, replace=False).tolist()
+            )
+        elif op == "perm":
+            assert buf.permutation(9).tolist() == ref.permutation(9).tolist()
+        else:
+            assert buf.random(size=5).tolist() == ref.random(size=5).tolist()
+
+
 class TestBufferedRNGStreamExactness:
     """BufferedRNG's draw-order contract: every mix of emulated and
     delegated draws consumes the PCG64 stream exactly like a plain
@@ -93,33 +143,34 @@ class TestBufferedRNGStreamExactness:
     def test_mixed_stream_fuzz(self, seed):
         """Random interleavings of emulated and delegated draws stay in
         lockstep with a scalar-only Generator history."""
+        _fuzz(
+            BufferedRNG(np.random.default_rng(1234 + seed)),
+            np.random.default_rng(1234 + seed),
+            pyrandom.Random(seed),
+            300,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_native_stream_fuzz(self, seed):
+        """The same on the native kernel's stream, seeded in C for each
+        execution index and refilled from C in short blocks, against
+        numpy's generator for ``derive_seed(span_seed, index)``."""
+        lib = native.kernel()
+        if lib is None:
+            pytest.skip("no C compiler on this host")
         py = pyrandom.Random(seed)
-        ref = np.random.default_rng(1234 + seed)
-        buf = BufferedRNG(np.random.default_rng(1234 + seed))
-        for _ in range(300):
-            op = py.choice(
-                ["random", "random", "random", "i24", "ibig", "i1",
-                 "uniform", "choice", "perm", "vec"]
-            )
-            if op == "random":
-                assert buf.random() == ref.random()
-            elif op == "i24":
-                assert buf.integers(0, 24) == int(ref.integers(0, 24))
-            elif op == "ibig":
-                assert buf.integers(7, 13313) == int(ref.integers(7, 13313))
-            elif op == "i1":
-                assert buf.integers(1) == int(ref.integers(1))
-            elif op == "uniform":
-                assert buf.uniform(0.35, 0.95) == ref.uniform(0.35, 0.95)
-            elif op == "choice":
-                assert (
-                    buf.choice(64, size=2, replace=False).tolist()
-                    == ref.choice(64, size=2, replace=False).tolist()
-                )
-            elif op == "perm":
-                assert buf.permutation(9).tolist() == ref.permutation(9).tolist()
-            else:
-                assert buf.random(size=5).tolist() == ref.random(size=5).tolist()
+        span_seed = derive_seed(seed, "native-stream")
+        stream = native.NativeStream(lib, span_seed)
+        for index in range(5):
+            ref = np.random.default_rng(derive_seed(span_seed, index))
+            _fuzz(stream.seed(index), ref, py, 60)
+
+    def test_finite_uniform_draws_from_the_block(self):
+        buf = BufferedRNG(np.random.default_rng(4))
+        buf.random()
+        block = (buf._i, buf._n)
+        buf.uniform(0.35, 0.95)
+        assert (buf._i, buf._n) == (block[0] + 1, block[1])
 
     def test_sync_rewind_is_exact_mid_block(self):
         """A delegated call right after a partial block consumption sees
