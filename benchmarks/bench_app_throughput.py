@@ -13,6 +13,12 @@ shapes those harnesses actually execute:
 * one empirical fence-insertion reduction (Algorithm 1 on cbe-dot/K20
   at a reduced scale), reported as check-runs/second.
 
+Each record times its workload on the native engine core and on the
+Python tick loop (``repro.gpu.engine._core`` forced off) in the
+alternating rounds of ``rounds.timed_rounds``, and keeps both sides'
+best-of, median and interquartile range plus the median of the
+per-round ratios, unasserted.
+
 Measurements land in ``BENCH_throughput.json`` via the ``bench_json``
 emitter, merged with the litmus numbers when both files run in one
 pytest session::
@@ -36,22 +42,23 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 
 from repro.apps.base import ApplicationBatch, run_application
 from repro.apps.registry import get_application
 from repro.chips import get_chip
+from repro.gpu import engine
 from repro.hardening.insertion import empirical_fence_insertion
 from repro.rng import derive_seed
 from repro.scale import SMOKE
 from repro.stress.environment import standard_environments
 from repro.tuning.pipeline import shipped_params
 
+from rounds import median_ratio, rate_fields, timed_rounds
+
 #: Runs per timed campaign-cell measurement (override for quick smoke:
 #: the golden-count cross-check only applies at the default size).
 _RUNS = int(os.environ.get("REPRO_BENCH_APP_RUNS", "100"))
 _SEED = 7
-_REPS = 3
 
 #: Errors over the 100-run cbe-dot/K20/sys-str+ workload at seed 7 on
 #: the pre-batch engine (bit-identity makes this the current value too).
@@ -82,15 +89,45 @@ def _seeds():
     ]
 
 
-def _best_rate(run, n):
-    best = 0.0
-    value = None
-    for _ in range(_REPS):
-        start = time.perf_counter()
-        value = run()
-        elapsed = time.perf_counter() - start
-        best = max(best, n / elapsed)
-    return best, value
+def _on_python_loop(run):
+    """``run`` with the native engine core forced off."""
+    def side():
+        saved = engine._core
+        engine._core = None
+        try:
+            return run()
+        finally:
+            engine._core = saved
+    return side
+
+
+def _ab(run, executions):
+    """Alternating rounds of ``run`` on the native core and on the
+    Python tick loop; returns the record fields of both sides, the
+    median per-round ratio (core over Python loop, unasserted) and each
+    side's last result."""
+    run()  # warm caches
+    rates, last = timed_rounds(
+        {"native": run, "python": _on_python_loop(run)},
+        {"native": executions, "python": executions},
+    )
+    fields = {
+        "native": rate_fields(rates["native"]),
+        "python": rate_fields(rates["python"]),
+        "speedup_median": round(
+            median_ratio(rates["native"], rates["python"]), 2
+        ),
+    }
+    return fields, last
+
+
+def _show(name, fields) -> str:
+    return (
+        f"\n{name}: {fields['native']['exec_per_sec_median']:,.1f}/s "
+        f"median on the core, {fields['python']['exec_per_sec_median']:,.1f}"
+        f"/s on the Python loop ({fields['speedup_median']}x, "
+        f"{fields['native']['runs']} alternating rounds)"
+    )
 
 
 def test_batch_sys_str_cell_throughput(bench_json):
@@ -102,21 +139,18 @@ def test_batch_sys_str_cell_throughput(bench_json):
     batch = ApplicationBatch(
         app, chip, stress_spec=env.strategy, randomise=env.randomise
     )
-    batch.run(seeds[0])  # warm caches
 
-    rate, errors = _best_rate(
+    fields, last = _ab(
         lambda: sum(batch.run(s).erroneous for s in seeds), _RUNS
     )
     if _RUNS == 100:
-        assert errors == _GOLDEN_ERRORS  # golden tie-in
-    assert rate > 0
+        # Golden tie-in, on both paths.
+        assert last["native"] == last["python"] == _GOLDEN_ERRORS
     bench_json.setdefault("app_reference", _REFERENCE)
     bench_json["app_batch_sys_str"] = {
-        "runs": _RUNS,
-        "errors": errors,
-        "runs_per_sec": round(rate, 1),
+        "runs": _RUNS, "errors": last["native"], **fields,
     }
-    print(f"\nbatch sys-str cell: {rate:,.1f} runs/s (errors={errors})")
+    print(_show("batch sys-str cell runs", fields))
 
 
 def test_single_run_sys_str_cell_throughput(bench_json):
@@ -138,19 +172,13 @@ def test_single_run_sys_str_cell_throughput(bench_json):
             for s in seeds
         )
 
-    run_application(
-        app, chip, stress_spec=env.strategy, randomise=env.randomise,
-        seed=seeds[0],
-    )
-    rate, errors = _best_rate(run, _RUNS)
+    fields, last = _ab(run, _RUNS)
     if _RUNS == 100:
-        assert errors == _GOLDEN_ERRORS
+        assert last["native"] == last["python"] == _GOLDEN_ERRORS
     bench_json["app_single_sys_str"] = {
-        "runs": _RUNS,
-        "errors": errors,
-        "runs_per_sec": round(rate, 1),
+        "runs": _RUNS, "errors": last["native"], **fields,
     }
-    print(f"\nsingle-run sys-str cell: {rate:,.1f} runs/s (errors={errors})")
+    print(_show("single-run sys-str cell runs", fields))
 
 
 def test_fence_insertion_reduction_throughput(bench_json):
@@ -173,21 +201,19 @@ def test_fence_insertion_reduction_throughput(bench_json):
             initial_iterations=8,
         )
 
-    start = time.perf_counter()
     result = run()
-    elapsed = time.perf_counter() - start
     assert result.converged
     assert result.reduced == app.required_sites()
-    rate = result.check_runs / elapsed
+    fields, last = _ab(run, result.check_runs)
+    for side in last.values():
+        assert (side.reduced, side.check_runs) == (
+            result.reduced, result.check_runs
+        )
     bench_json["fence_insertion_reduction"] = {
         "app": "cbe-dot",
         "chip": "K20",
         "check_runs": result.check_runs,
-        "seconds": round(elapsed, 3),
-        "check_runs_per_sec": round(rate, 1),
         "reduced_fences": sorted(result.reduced),
+        **fields,
     }
-    print(
-        f"\nfence insertion: {result.check_runs} check runs in "
-        f"{elapsed:.2f}s ({rate:,.1f} runs/s)"
-    )
+    print(_show("fence insertion check runs", fields))

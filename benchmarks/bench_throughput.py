@@ -26,10 +26,10 @@ hardware — the JSON records the current machine's absolute numbers.
 Timing is done directly with ``time.perf_counter``, so the benchmark
 runs without pytest-benchmark installed.  A single 600-execution run
 takes well under a second and its rate moves by 15% or more between
-runs of one tree, so every timed run repeats until at least
-``_MIN_RUNS`` runs and ``_MIN_SECONDS`` are covered.  Each record keeps
-the best-of rate (``exec_per_sec``) next to the median and
-interquartile range of the runs.  A shared host's speed also drifts
+runs of one tree, so every timed run repeats in the alternating rounds
+of ``rounds.timed_rounds``.  Each record keeps the best-of rate
+(``exec_per_sec``) next to the median and interquartile range of the
+runs.  A shared host's speed also drifts
 between invocations, which moves all of a record's numbers together;
 compare records only from alternating runs.  The vector floor therefore
 times its sides in alternating runs and compares the median of the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import statistics
-import time
 
 from repro.chips import get_chip
 from repro.litmus import ALL_TESTS, MP, native, run_litmus, run_litmus_vector
@@ -48,6 +47,8 @@ from repro.litmus.runner import LitmusInstance, _litmus_span
 from repro.parallel import ParallelConfig
 from repro.stress.strategies import NoStress, TunedStress
 from repro.tuning.pipeline import shipped_params
+
+from rounds import median_ratio, rate_fields, timed_rounds
 
 #: Executions per registry test for the family-rate record.
 _FAMILY_EXECUTIONS = int(
@@ -58,8 +59,6 @@ _FAMILY_EXECUTIONS = int(
 #: cross-check only applies at the default size).
 _EXECUTIONS = int(os.environ.get("REPRO_BENCH_THROUGHPUT_EXECUTIONS", "600"))
 _SEED = 7
-_MIN_RUNS = 9
-_MIN_SECONDS = 1.0
 
 #: Fixed-seed weak counts of this workload on the pre-refactor core.
 _GOLDEN_WEAK_SYS = 130
@@ -75,41 +74,11 @@ _REFERENCE = {
 }
 
 
-def _timed_rounds(sides, executions):
-    """Alternate one run of each of ``sides`` (name -> callable) until
-    every side has ``_MIN_RUNS`` runs and ``_MIN_SECONDS`` are covered,
-    so host drift moves all sides alike.  ``executions`` maps each side
-    to its run size.  Returns each side's exec/s per round and its last
-    run's result."""
-    rates = {name: [] for name in sides}
-    last = {}
-    spent = 0.0
-    while len(rates[next(iter(sides))]) < _MIN_RUNS or spent < _MIN_SECONDS:
-        for name, run in sides.items():
-            start = time.perf_counter()
-            last[name] = run()
-            elapsed = time.perf_counter() - start
-            spent += elapsed
-            rates[name].append(executions[name] / elapsed)
-    return rates, last
-
-
-def _fields(rates) -> dict:
-    """The rate fields of a record: best-of, median, IQR and runs."""
-    q1, median, q3 = statistics.quantiles(rates, n=4)
-    return {
-        "exec_per_sec": round(max(rates), 1),
-        "exec_per_sec_median": round(median, 1),
-        "exec_per_sec_iqr": round(q3 - q1, 1),
-        "runs": len(rates),
-    }
-
-
 def _rates(run, executions):
     """Time ``run()`` alone; returns the rate fields of a record and the
     last run's result."""
-    rates, last = _timed_rounds({"run": run}, {"run": executions})
-    return _fields(rates["run"]), last["run"]
+    rates, last = timed_rounds({"run": run}, {"run": executions})
+    return rate_fields(rates["run"]), last["run"]
 
 
 def _show(rates) -> str:
@@ -219,10 +188,6 @@ _VECTOR_EXECUTIONS = int(
 _VECTOR_MIN_SPEEDUP = 10.0
 
 
-def _median_ratio(top, bottom) -> float:
-    return statistics.median(a / b for a, b in zip(top, bottom))
-
-
 def test_vector_sys_str_throughput(bench_json, monkeypatch):
     """A/B: the vectorized mega-batch backend against the serial direct
     path on the canonical workload, timed in alternating runs.  The
@@ -253,18 +218,18 @@ def test_vector_sys_str_throughput(bench_json, monkeypatch):
     }
     for run in sides.values():  # warm plan/table caches
         run()
-    rates, last = _timed_rounds(
+    rates, last = timed_rounds(
         sides,
         {"vector": _VECTOR_EXECUTIONS, "python": _EXECUTIONS,
          "native": _EXECUTIONS},
     )
     weak = last["vector"]
-    ratio = _median_ratio(rates["vector"], rates["python"])
+    ratio = median_ratio(rates["vector"], rates["python"])
     record = bench_json["vector_sys_str"] = {
         "executions": _VECTOR_EXECUTIONS,
         "weak": weak,
         "weak_rate": round(weak / _VECTOR_EXECUTIONS, 4),
-        **_fields(rates["vector"]),
+        **rate_fields(rates["vector"]),
         "direct_python_exec_per_sec_median": round(
             statistics.median(rates["python"]), 1
         ),
@@ -273,7 +238,7 @@ def test_vector_sys_str_throughput(bench_json, monkeypatch):
             statistics.median(rates["native"]), 1
         ),
         "speedup_vs_direct_native": round(
-            _median_ratio(rates["vector"], rates["native"]), 1
+            median_ratio(rates["vector"], rates["native"]), 1
         ),
     }
     assert ratio >= _VECTOR_MIN_SPEEDUP, (

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..rng import make_rng
+from ..rng import first_doubles
 
 #: Kinds of memory access a stressing sequence may contain.
 ACCESS_KINDS = ("ld", "st")
@@ -192,8 +192,9 @@ def _sequence_strength(
     """Memoized body of :meth:`HardwareProfile.sequence_strength`.
 
     A pure function of the chip personality and the sequence; the jitter
-    draws from its own derived stream, so memoization cannot perturb any
-    experiment stream.  Stressing strategies call this once per litmus
+    is the first draw of its own derived stream (computed without
+    ``numpy.random``), so memoization cannot perturb any experiment
+    stream.  Stressing strategies call this once per litmus
     execution, which made it a measurable hot-path constant.
     """
     if not seq or any(kind not in ACCESS_KINDS for kind in seq):
@@ -215,7 +216,9 @@ def _sequence_strength(
         bonus = 0.22 * affinity
     prefix = _common_prefix(seq, best)
     bonus += 0.015 * prefix
-    jitter = make_rng(seed, "seq", seq).uniform(-0.025, 0.025)
+    # Generator.uniform(-0.025, 0.025) of make_rng(seed, "seq", seq).
+    low, high = -0.025, 0.025
+    jitter = low + (high - low) * first_doubles(seed, "seq", seq, count=1)[0]
     return max(base + bonus + jitter, 0.001)
 
 
@@ -239,8 +242,11 @@ def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 def _sensitivity_array(
     seed: int, n_channels: int, floor: float
 ) -> np.ndarray:
-    rng = make_rng(seed, "channel-sensitivity")
-    raw = rng.uniform(0.0, 1.0, n_channels)
+    # Generator.uniform(0.0, 1.0, n_channels) of
+    # make_rng(seed, "channel-sensitivity").
+    raw = np.array(
+        first_doubles(seed, "channel-sensitivity", count=n_channels)
+    )
     # Channels below the floor are nearly (not exactly) insensitive:
     # the silent patches of Fig. 3 sit at the noise level, not at zero.
     sens = np.where(raw < floor, 0.05, np.maximum(raw, 0.45))

@@ -14,6 +14,27 @@ Sec. 6 energy model as low-activity cycles.
 
 Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
 
+* :meth:`Engine.run` builds or relaunches the grid in Python, then runs
+  the whole launch in one call of the native core, ``engine.c``, a
+  CPython extension compiled on the first run (never at import) by
+  :func:`repro.cbuild.load`.  The core is a second implementation of
+  :meth:`Engine._loop`, the Python tick loop below, of the
+  :class:`~repro.gpu.scheduler.WarpScheduler` and of every
+  :class:`~repro.gpu.memory.MemorySystem` operation the loop reaches.
+  It resumes the kernel coroutines with ``PyIter_Send``, reads and
+  writes ``MemorySystem.mem`` in place, and draws through numpy's
+  ``bitgen_t`` of both generators exactly what ``random()``,
+  ``integers(n)`` and ``dirichlet`` draw, so a
+  :class:`~repro.rng.BufferedRNG` is synced once before the call and
+  captured once after it.  It writes back the memory system's tick,
+  counters and ``_fencing``, and the grid's and threads' state.
+* ``_loop`` stays as the fallback, with a warning, where the core
+  cannot be built or a stream is not numpy-backed, and as the oracle:
+  tests force it by setting ``_core`` to ``None``.  Three
+  implementations change together: this module and ``scheduler.py``
+  with ``engine.c`` (``tests/test_engine_core.py`` holds them equal),
+  and ``memory.py`` with ``engine.c`` and with
+  ``repro/litmus/native.c`` (``tests/test_native_litmus.py``).
 * The tick loop is O(1) per tick outside the picked warp: kernel
   completion reads the grid's maintained live-thread counter, each
   thread carries its SM (no per-run key->SM dict), and warp runnability
@@ -37,10 +58,14 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
 from __future__ import annotations
 
 import enum
+import sys
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .. import cbuild
 from ..chips.profile import HardwareProfile
 from ..errors import KernelTimeoutError
 from ..rng import BufferedRNG
@@ -58,8 +83,8 @@ from .events import (
 )
 from .grid import Grid, build_grid
 from .kernel import Kernel, LaunchConfig
-from .memory import MemorySystem
-from .scheduler import WarpScheduler
+from .memory import MemorySystem, core_words
+from .scheduler import _RESHUFFLE_PERIOD, WarpScheduler
 
 #: Default tick budget per kernel (the paper's 30 s timeout analogue).
 DEFAULT_MAX_TICKS = 400_000
@@ -75,6 +100,77 @@ BURST = 4
 #: program-order-earlier buffered stores a head start on draining, which
 #: is why unlock races are rare natively.
 _ATOMIC_LATENCY = 2
+
+_SOURCE = Path(__file__).with_name("engine.c")
+
+#: The native core: the loaded extension, ``None`` when it cannot be
+#: built here, or ``_UNSET`` before the first :func:`core` call.  Tests
+#: force the Python loop by setting it to ``None``.
+_UNSET = object()
+_core = _UNSET
+_warned_generator = False
+
+
+def core():
+    """The native core (``engine.c``), building it on the first call;
+    ``None`` when it cannot be built here."""
+    global _core
+    if _core is _UNSET:
+        _core = _load()
+    return _core
+
+
+def _load():
+    import importlib.machinery
+    import sysconfig
+
+    flags = [f"-I{sysconfig.get_paths()['include']}"]
+    if sys.platform == "darwin":
+        flags += ["-undefined", "dynamic_lookup"]
+    return cbuild.load(
+        _SOURCE, importlib.machinery.EXTENSION_SUFFIXES[0], _import,
+        "running the Python tick loop", tuple(flags),
+    )
+
+
+def _import(path: str):
+    import importlib.machinery
+    import importlib.util
+
+    loader = importlib.machinery.ExtensionFileLoader("repro.gpu._core", path)
+    spec = importlib.util.spec_from_file_location(
+        loader.name, path, loader=loader
+    )
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def _generators(eng_rng, mem_rng):
+    """``(engine generator, memory generator, wrappers)`` for the core:
+    the numpy generators it draws from and the distinct
+    :class:`~repro.rng.BufferedRNG` wrappers around them; ``None`` (with
+    a warning, once) when either stream is not numpy-backed."""
+    global _warned_generator
+    gens: list[np.random.Generator] = []
+    wrappers: list[BufferedRNG] = []
+    for rng in (eng_rng, mem_rng):
+        gen = rng
+        if isinstance(rng, BufferedRNG):
+            gen = rng.gen
+            if all(rng is not w for w in wrappers):
+                wrappers.append(rng)
+        if not isinstance(gen, np.random.Generator):
+            if not _warned_generator:
+                _warned_generator = True
+                warnings.warn(
+                    "the native engine core draws from numpy Generators; "
+                    f"running the Python tick loop for {rng!r}",
+                    RuntimeWarning,
+                )
+            return None
+        gens.append(gen)
+    return gens[0], gens[1], wrappers
 
 
 class Outcome(enum.Enum):
@@ -194,12 +290,76 @@ class Engine:
             # coroutine is re-instantiated from ``kernel``, so even a
             # recycled ``id`` relaunches correctly.
             grid.relaunch(kernel, self.chip.n_sms, fence_sites, randomise_rng)
+        mem = self.memory
+        swaps0, byp0, slow0 = mem.n_swaps, mem.n_bypasses, mem.n_slow_loads
+        lib = core()
+        draws = None
+        if lib is not None and not (mem._n_buffered or mem._deferred):
+            draws = _generators(self.rng, mem.rng)
+        if draws is None:
+            timed_out, ticks, fence_stalls, n_fences = self._loop(grid)
+        else:
+            timed_out, ticks, fence_stalls, n_fences = self._run_core(
+                lib, grid, *draws
+            )
+
+        # The loop only exits with every thread finished or the tick
+        # budget exhausted; live_threads() additionally cross-checks the
+        # maintained counter against the done-flag scan under pytest.
+        assert timed_out or grid.live_threads() == 0
+
+        if timed_out and self.raise_on_timeout:
+            raise KernelTimeoutError(self.max_ticks)
+        return ExecutionResult(
+            outcome=Outcome.TIMEOUT if timed_out else Outcome.OK,
+            ticks=ticks,
+            fence_stall_cycles=fence_stalls,
+            n_fences=n_fences,
+            n_swaps=mem.n_swaps - swaps0,
+            n_bypasses=mem.n_bypasses - byp0,
+            n_slow_loads=mem.n_slow_loads - slow0,
+        )
+
+    def _run_core(
+        self,
+        lib,
+        grid: Grid,
+        eng_gen: np.random.Generator,
+        mem_gen: np.random.Generator,
+        wrappers: list[BufferedRNG],
+    ) -> tuple[bool, int, int, int]:
+        """:meth:`_loop` in ``engine.c``, drawing from the generators
+        behind the wrappers, which are synced once before the call and
+        captured once after it."""
+        mem = self.memory
+        words, factors = core_words(mem.profile)
+        n_units = len(grid.warps) + max(0, self.n_stress_units)
+        alpha = np.full(n_units, 0.5) if self.randomise else None
+        for rng in wrappers:
+            rng._sync()
+        try:
+            return lib.run(
+                grid, mem, eng_gen, mem_gen, alpha, self.n_stress_units,
+                self.randomise, self.max_ticks,
+                (
+                    BURST, _ATOMIC_LATENCY, _RESHUFFLE_PERIOD,
+                    self.chip.fence_stall_cycles, *words,
+                ),
+                factors, mem.tables.packed,
+            )
+        finally:
+            for rng in wrappers:
+                rng._capture()
+
+    def _loop(self, grid: Grid) -> tuple[bool, int, int, int]:
+        """Run the launched ``grid`` to completion or timeout and flush
+        the memory system; returns ``(timed_out, ticks,
+        fence_stall_cycles, n_fences)``.  The reference semantics
+        ``engine.c`` is held to."""
         scheduler = WarpScheduler(
             grid.warps, self.n_stress_units, self.rng, self.randomise
         )
         mem = self.memory
-        swaps0, byp0, slow0 = mem.n_swaps, mem.n_bypasses, mem.n_slow_loads
-
         ticks = 0
         fence_stalls = 0
         n_fences = 0
@@ -332,23 +492,8 @@ class Engine:
             if barrier_blocks:
                 self._release_barriers(grid, scheduler, barrier_blocks)
 
-        # The loop only exits with every thread finished or the tick
-        # budget exhausted; live_threads() additionally cross-checks the
-        # maintained counter against the done-flag scan under pytest.
-        assert timed_out or grid.live_threads() == 0
-
         mem.flush_all()
-        if timed_out and self.raise_on_timeout:
-            raise KernelTimeoutError(self.max_ticks)
-        return ExecutionResult(
-            outcome=Outcome.TIMEOUT if timed_out else Outcome.OK,
-            ticks=ticks,
-            fence_stall_cycles=fence_stalls,
-            n_fences=n_fences,
-            n_swaps=mem.n_swaps - swaps0,
-            n_bypasses=mem.n_bypasses - byp0,
-            n_slow_loads=mem.n_slow_loads - slow0,
-        )
+        return timed_out, ticks, fence_stalls, n_fences
 
     def run_all(
         self,

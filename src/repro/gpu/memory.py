@@ -59,15 +59,23 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   quadratic ``buf.remove(entry)``.
 * :meth:`MemorySystem.reset` restores the pristine post-construction
   state so one instance can serve an entire batch of executions.
-* ``repro/litmus/native.c`` is a second implementation of the subset a
-  two-thread ld/st litmus round reaches (``write``, ``issue_load``, the
-  deferred-load and store-buffer steps, ``_commit``/
-  ``_resolve_matching``, ``drain_until`` and ``flush_all``), draw for
-  draw.  A change to that subset changes the kernel too;
-  ``tests/test_native_litmus.py`` fails until the two agree.
-  :class:`MemoryTables` packs the kernel's tables straight from the
-  numpy arrays, and :func:`native_chip` packs the constants it reads
-  off the profile.
+* Two C files reimplement parts of this class draw for draw; a change
+  here changes them too:
+
+  - ``repro/litmus/native.c``, the subset a two-thread ld/st litmus
+    round reaches (``write``, ``issue_load``, the deferred-load and
+    store-buffer steps, ``_commit``/``_resolve_matching``,
+    ``drain_until`` and ``flush_all``), held equal by
+    ``tests/test_native_litmus.py``.  :class:`MemoryTables` packs the
+    kernel's tables straight from the numpy arrays, and
+    :func:`native_chip` packs the constants it reads off the profile;
+  - ``repro/gpu/engine.c``, the native engine core, every operation the
+    engine's tick loop reaches (``read``, ``write``, ``rmw``,
+    ``issue_load``/``poll_load``, the fence calls, ``drain_thread``,
+    ``step`` and ``flush_all``), held equal by
+    ``tests/test_engine_core.py``.  It reads :attr:`tables` packed and
+    the constants of :func:`core_words`, and works on ``mem`` in
+    place.
 
 None of this changes a single random draw: every decision consumes the
 same generator stream, in the same order, as the original scan-based
@@ -166,18 +174,32 @@ class MemoryTables:
 
 def native_chip(profile: HardwareProfile, addrs) -> tuple[bytes, bytes]:
     """The native litmus kernel's chip words and factors for locations at
-    ``addrs`` (see ``repro/litmus/native.c``): the constants the
-    store-buffer and deferred-load steps below read off the profile."""
-    chip = array("q", (
+    ``addrs`` (see ``repro/litmus/native.c``): the first five of
+    :func:`core_words`, then the channel of every location."""
+    words, factors = core_words(profile)
+    chip = array("q", (*words[:5], *map(profile.channel, addrs)))
+    return chip.tobytes(), array("d", factors).tobytes()
+
+
+def core_words(profile: HardwareProfile) -> tuple[tuple, tuple]:
+    """The constants the store-buffer and deferred-load steps below read
+    off the profile and this module, as the native cores take them:
+    words (channel count, store-buffer capacity, swap minimum distance,
+    minimum drain age, drain width, then for ``repro/gpu/engine.c`` the
+    SM count, channel shift (-1 for none), channel mask and patch size)
+    and factors (``store_swap_leak``, the parked-drain factor)."""
+    shift = profile.channel_shift
+    return (
         profile.n_channels,
         profile.store_buffer_capacity * 8,  # MemorySystem._buf_cap
         profile.store_store_min_distance,
         _MIN_AGE,
         _DRAIN_WIDTH,
-        *map(profile.channel, addrs),
-    ))
-    factors = array("d", (profile.store_swap_leak, _PARKED_DRAIN))
-    return chip.tobytes(), factors.tobytes()
+        profile.n_sms,
+        -1 if shift is None else shift,
+        profile.channel_mask or 0,
+        profile.patch_size,
+    ), (profile.store_swap_leak, _PARKED_DRAIN)
 
 
 def memory_tables(
@@ -346,13 +368,14 @@ class MemorySystem:
     # precomputed per-channel probabilities (the stress field is static)
     # ------------------------------------------------------------------
     def _precompute(self) -> None:
+        self.tables = memory_tables(self.profile, self.stress, self.weak_scale)
         (
             self.drain_p,
             self.swap_p,
             self.bypass_p,
             self.slow_p,
             self.resolve_p,
-        ) = memory_tables(self.profile, self.stress, self.weak_scale).lists
+        ) = self.tables.lists
 
     def set_stress(self, stress: StressField) -> None:
         """Swap the stress field (e.g. once a scratchpad is allocated)."""

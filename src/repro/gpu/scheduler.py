@@ -29,6 +29,10 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   and the scheduler maintains the runnable list incrementally, in warp
   order, so the fallback ``integers(len(runnable))`` draw and its
   indexing are unchanged.
+* ``repro/gpu/engine.c`` reimplements the pick, the runnable list and
+  the weight redraw (``dirichlet`` on the same generator, then the same
+  cumsum and division) for the native engine core; a change here
+  changes it too (``tests/test_engine_core.py`` holds them equal).
 """
 
 from __future__ import annotations

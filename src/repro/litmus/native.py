@@ -10,19 +10,10 @@ draws run through the wrapper's emulation on blocks C pre-draws, and
 words in place.
 
 The source is plain C with no Python headers, so it needs only a C
-compiler: on the first call of :func:`kernel` it is compiled with
-``sysconfig``'s ``CC`` (else ``cc``) as ``-O2 -shared -fPIC
--ffp-contract=off`` and loaded with :mod:`ctypes`.  Floating-point
-contraction is off and fast-math is never used, so each probability
-comparison sees exactly the double the Python path compares.
-
-The library lands in this package's ``__pycache__/`` under a name that
-carries the sha256 of the source and the flags plus the machine, so an
-edited source or another platform never loads a stale build.  It is
-compiled to a temporary name and moved into place with
-:func:`os.replace`, so pool children and distributed workers may race
-to build it.  When that directory is read-only the library is built in
-a private temporary directory for this process instead.
+compiler: on the first call of :func:`kernel`, :func:`repro.cbuild.load`
+compiles it (``-ffp-contract=off``, into this package's ``__pycache__/``
+under a name that carries the source's hash and the machine) and it is
+loaded with :mod:`ctypes`.
 
 Without a working compiler, or on a non-64-bit interpreter,
 :func:`kernel` returns ``None`` and the runner steps every round through
@@ -34,23 +25,15 @@ the same statistics, only more slowly.  Tests force that path by setting
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
+from .. import cbuild
 from ..rng import BufferedRNG
 
-# Every litmus run imports this module and most processes find the
-# library already built, so the imports only a build needs (hashlib
-# alone takes 3 ms) stay in the functions that use them.
-
 _SOURCE = Path(__file__).with_name("native.c")
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _MASK64 = (1 << 64) - 1
 #: Words C pre-draws per block.  An execution's stress build and
 #: randomiser take a handful; the kernel steps back past the rest.
@@ -162,40 +145,17 @@ class NativeStream(BufferedRNG):
         self.words[1] = state & _MASK64
 
 
-def _compiler() -> list[str] | None:
-    import shlex
-    import sysconfig
-
-    for cc in (sysconfig.get_config_var("CC"), "cc"):
-        argv = shlex.split(cc or "")
-        if argv and shutil.which(argv[0]):
-            return argv
-    return None
-
-
 def _load():
     import ctypes
-    import hashlib
     import platform
 
-    cc = _compiler()
-    if cc is None or ctypes.sizeof(ctypes.c_void_p) != 8:
+    if ctypes.sizeof(ctypes.c_void_p) != 8:
         return None
-    machine = f"{sys.platform}-{platform.machine()}"
-    digest = hashlib.sha256(
-        _SOURCE.read_bytes() + " ".join(_FLAGS).encode()
-    ).hexdigest()[:16]
-    try:
-        lib = _open(ctypes, cc, f"native-{digest}-{machine}.so")
-    except (OSError, subprocess.SubprocessError) as exc:
-        detail = getattr(exc, "stderr", None) or str(exc)
-        if isinstance(detail, bytes):
-            detail = detail.decode(errors="replace")
-        warnings.warn(
-            "native litmus kernel unavailable, running the Python "
-            f"rounds: {detail.strip()[:500]}",
-            RuntimeWarning,
-        )
+    lib = cbuild.load(
+        _SOURCE, f"-{sys.platform}-{platform.machine()}.so", ctypes.CDLL,
+        "running the Python rounds",
+    )
+    if lib is None:
         return None
     words = ctypes.POINTER(ctypes.c_uint64)
     doubles = ctypes.POINTER(ctypes.c_double)
@@ -213,43 +173,3 @@ def _load():
     lib.repro_pcg64_fill.restype = None
     lib.repro_pcg64_fill.argtypes = (words, words, doubles, ctypes.c_int64)
     return lib
-
-
-def _open(ctypes, cc: list[str], name: str):
-    """Load the library ``name``, building it first if it is missing."""
-    import tempfile
-
-    try:
-        cache = _SOURCE.parent / "__pycache__"
-        cache.mkdir(exist_ok=True)
-        return ctypes.CDLL(str(_built(cc, cache / name)))
-    except OSError:
-        # A read-only package: build privately for this process.
-        private = Path(tempfile.mkdtemp(prefix="repro-native-"))
-        try:
-            return ctypes.CDLL(str(_built(cc, private / name)))
-        finally:
-            # The loaded mapping outlives the file.
-            shutil.rmtree(private, ignore_errors=True)
-
-
-def _built(cc: list[str], path: Path) -> Path:
-    """``path``, compiling it first unless a build is already there."""
-    import tempfile
-
-    if path.exists():
-        return path
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    os.close(fd)
-    try:
-        subprocess.run(
-            [*cc, *_FLAGS, "-o", tmp, str(_SOURCE)],
-            check=True, capture_output=True, timeout=120,
-        )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path

@@ -47,6 +47,67 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *labels))
 
 
+# numpy's SeedSequence constants (bit_generator.pyx) and PCG64's
+# multiplier, for :func:`first_doubles`.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def first_doubles(seed: int, *labels: object, count: int) -> list[float]:
+    """The first ``count`` values of ``make_rng(seed, *labels).random()``,
+    computed without ``numpy.random``.
+
+    The steps are the public ones ``repro/litmus/native.c``'s
+    ``rng_seed`` implements: ``SeedSequence`` mixing of the derived
+    seed's two 32-bit words (low first; a seed below ``2**32`` pads to
+    the same pool), ``generate_state(4, uint64)``, PCG64 seeding, then
+    ``next_double``.  Seeded model constants use it so a process that
+    only reads them never imports ``numpy.random``.
+    """
+    entropy = derive_seed(seed, *labels)
+    const = _SS_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * _SS_MULT_A) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_SS_MIX_L * x - _SS_MIX_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in (entropy & _MASK32, entropy >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = []
+    const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = (const * _SS_MULT_B) & _MASK32
+        value = (value * const) & _MASK32
+        words.append(value ^ (value >> 16))
+    s = [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+    # pcg_setseq_128_srandom_r: state (s0, s1), sequence (s2, s3).
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _MASK128
+    state = (inc + (s[0] << 64 | s[1])) & _MASK128
+    state = (state * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        raw = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        out.append((raw >> 11) * _INV53)
+    return out
+
+
 #: Raw 64-bit words pre-drawn per refill.
 _BLOCK = 128
 

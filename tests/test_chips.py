@@ -190,3 +190,57 @@ class TestPowerModel:
     def test_supported_chip_returns_sample(self, k20):
         sample = NvmlSession(k20).query_power(100, 10)
         assert k20.idle_watts <= sample.watts <= k20.active_watts
+
+
+def _numpy_sensitivity(seed, n_channels, floor):
+    """``_sensitivity_array`` as it drew through ``numpy.random``."""
+    from repro.rng import make_rng
+
+    raw = make_rng(seed, "channel-sensitivity").uniform(0.0, 1.0, n_channels)
+    sens = np.where(raw < floor, 0.05, np.maximum(raw, 0.45))
+    if np.count_nonzero(sens > 0.1) < 2:
+        sens[int(np.argmax(raw))] = max(raw.max(), 0.6)
+        sens[(int(np.argmax(raw)) + 1) % n_channels] = 0.55
+    return sens
+
+
+@pytest.mark.parametrize("chip", all_chips(), ids=lambda c: c.short_name)
+def test_seeded_constants_match_numpy_streams(chip):
+    """The two seeded model constants computed without ``numpy.random``
+    equal their ``make_rng`` draws: the channel sensitivities, and the
+    jitter of every access sequence of length 1-5 (62 sequences)."""
+    import itertools
+
+    from repro.chips.profile import _sequence_strength, _sensitivity_array
+    from repro.rng import derive_seed, make_rng
+
+    assert _sensitivity_array.__wrapped__(
+        chip.seed, chip.n_channels, chip.sensitivity_floor
+    ).tolist() == _numpy_sensitivity(
+        chip.seed, chip.n_channels, chip.sensitivity_floor
+    ).tolist()
+    seqs = [
+        seq for n in range(1, 6)
+        for seq in itertools.product(("ld", "st"), repeat=n)
+    ]
+    assert len(seqs) == 62
+    assert all(derive_seed(chip.seed, "seq", seq) >= 1 << 32 for seq in seqs)
+    for seq in seqs:
+        jitter = make_rng(chip.seed, "seq", seq).uniform(-0.025, 0.025)
+        zero = _sequence_strength.__wrapped__(
+            chip.seed, chip.best_sequence, 0.0, seq
+        )
+        # With no affinity bonus the strength is base + prefix + jitter.
+        n_ld = seq.count("ld")
+        n_st = len(seq) - n_ld
+        base = (
+            0.012 + 0.002 * n_st if n_ld == 0
+            else 0.28 + 0.02 * n_ld if n_st == 0
+            else 0.62 + 0.22 * min(n_ld, n_st) / len(seq)
+        )
+        prefix = 0
+        for a, b in zip(seq, chip.best_sequence):
+            if a != b:
+                break
+            prefix += 1
+        assert zero == max(base + 0.015 * prefix + jitter, 0.001), seq

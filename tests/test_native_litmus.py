@@ -37,6 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.rng
+from repro import cbuild
 from repro.chips import all_chips
 from repro.litmus import ALL_TESTS, native, runner
 from repro.litmus.ir import And, LocEq, Or, RegEq, ld, st as st_ins
@@ -278,7 +279,7 @@ def test_failed_build_warns_and_runs_python_rounds(tmp_path, monkeypatch):
 
 
 def test_no_compiler_runs_python_rounds(monkeypatch):
-    monkeypatch.setattr(native, "_compiler", lambda: None)
+    monkeypatch.setattr(cbuild, "compiler", lambda: None)
     assert native._load() is None
 
 

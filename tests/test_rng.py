@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.litmus import native
-from repro.rng import BufferedRNG, derive_seed, make_rng
+from repro.rng import BufferedRNG, derive_seed, first_doubles, make_rng
 
 
 class TestDeriveSeed:
@@ -321,3 +321,23 @@ class TestBufferedRNGInEngine:
         want = reference_picks(make_rng(33))
         assert sched_picks(make_rng(33)) == want
         assert sched_picks(BufferedRNG(make_rng(33))) == want
+
+
+def test_first_doubles_match_numpy_streams():
+    """The pure-Python SeedSequence -> PCG64 -> next_double path equals
+    ``make_rng``'s stream: entropies below and at or above ``2**32``
+    (one or two 32-bit words), the extremes, and labelled streams."""
+    gen = pyrandom.Random(29)
+    entropies = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 63) + 5, (1 << 64) - 1]
+    entropies += [gen.getrandbits(gen.choice((16, 32, 33, 64)))
+                  for _ in range(200)]
+    for entropy in entropies:
+        # derive_seed without labels is the seed itself.
+        assert first_doubles(entropy, count=5) == (
+            np.random.default_rng(entropy).random(5).tolist()
+        ), entropy
+    for labels in [("seq", ("ld", "st")), ("channel-sensitivity",)]:
+        for seed in (7, 980_001, gen.getrandbits(64)):
+            assert first_doubles(seed, *labels, count=3) == (
+                make_rng(seed, *labels).random(3).tolist()
+            )
