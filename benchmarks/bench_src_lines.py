@@ -11,9 +11,11 @@ in the package root count under ``repro``)::
 
 Lines are counted the way perfbench's ``src_py_lines`` provenance field
 counts them: newline bytes over every ``src/**/*.py`` file, so the two
-numbers agree for the same tree.  C sources (``src/**/*.c``, the native
-litmus kernel) are counted the same way into their own ``c`` entry, so
-``total`` stays comparable with earlier records.
+numbers agree for the same tree.  C sources and headers
+(``src/**/*.c`` and ``src/**/*.h``: the native litmus kernel, the engine
+core and the memory model they share) are counted the same way into
+their own ``c`` entry, so ``total`` stays comparable with earlier
+records; records before the shared header count ``*.c`` only.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def count_src_lines(
-    src: Path = SRC, pattern: str = "*.py"
+    src: Path = SRC, patterns: tuple[str, ...] = ("*.py",)
 ) -> tuple[int, dict[str, int]]:
-    """Total newlines of the ``pattern`` files under ``src`` and their
-    split by package."""
+    """Total newlines of the files under ``src`` matching any of
+    ``patterns`` and their split by package."""
     packages: Counter[str] = Counter()
-    for path in sorted(src.rglob(pattern)):
+    paths = {path for pattern in patterns for path in src.rglob(pattern)}
+    for path in sorted(paths):
         parts = path.relative_to(src).parts  # ("repro", "dist", "worker.py")
         package = ".".join(parts[:2]) if len(parts) > 2 else parts[0]
         packages[package] += path.read_bytes().count(b"\n")
@@ -40,7 +43,7 @@ def count_src_lines(
 def test_src_lines(bench_json):
     total, packages = count_src_lines()
     assert total > 0 and set(packages) >= {"repro", "repro.dist"}
-    c_total, c_packages = count_src_lines(pattern="*.c")
+    c_total, c_packages = count_src_lines(patterns=("*.c", "*.h"))
     bench_json["src_lines"] = {
         "total": total,
         "packages": packages,

@@ -3,17 +3,21 @@
 Two C sources ship with the package and are compiled where they run:
 ``repro/litmus/native.c``, plain C that :mod:`repro.litmus.native` loads
 with :mod:`ctypes`, and ``repro/gpu/engine.c``, a CPython extension that
-:mod:`repro.gpu.engine` imports.  :func:`load` compiles a source with
+:mod:`repro.gpu.engine` imports.  Both include the memory model
+``repro/gpu/memsys.h``.  :func:`load` compiles a source with
 ``sysconfig``'s ``CC`` (else ``cc``) as ``-O2 -shared -fPIC
 -ffp-contract=off`` plus the caller's flags.  Floating-point contraction
 is off and fast-math is never used, so each probability comparison sees
 exactly the double the Python path compares.
 
 A build lands in its source's ``__pycache__/`` under a name that
-carries the sha256 of the source and the flags, so an edited source
-never loads a stale build.  It is compiled to a temporary name and
-moved into place with :func:`os.replace`, so pool children and
-distributed workers may race to build it.  When that directory is
+carries the sha256 of the source, of every file it includes with
+``#include "…"`` (found beside the includer, then in each ``-I``
+directory) and of the flags, so an edited source or header never loads
+a stale build.  It is compiled to a temporary name and moved into place
+with :func:`os.replace`, so pool children and distributed workers may
+race to build it; the builds it replaces, of the same stem and suffix,
+are then deleted.  When that directory is
 read-only the build goes to a private temporary directory for this
 process instead, which is removed once the build is loaded (the loaded
 mapping outlives the file).
@@ -27,6 +31,7 @@ then runs their Python path.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import warnings
@@ -71,11 +76,11 @@ def load(
         return None
     flags = (*FLAGS, *flags)
     digest = hashlib.sha256(
-        source.read_bytes() + " ".join(flags).encode()
+        _text(source, flags) + " ".join(flags).encode()
     ).hexdigest()[:16]
     name = f"{source.stem}-{digest}{suffix}"
     try:
-        return _open(opener, [*cc, *flags], source, name)
+        return _open(opener, [*cc, *flags], source, name, suffix)
     except (OSError, ImportError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or str(exc)
         if isinstance(detail, bytes):
@@ -87,24 +92,42 @@ def load(
         return None
 
 
-def _open(opener, command: list[str], source: Path, name: str):
+def _text(source: Path, flags: tuple[str, ...]) -> bytes:
+    """``source`` and every file it includes with ``#include "…"``."""
+    dirs = [Path(flag[2:]) for flag in flags if flag.startswith("-I")]
+    todo, seen, text = [source], {source}, b""
+    while todo:
+        path = todo.pop()
+        data = path.read_bytes()
+        text += data
+        for name in re.findall(rb'^\s*#\s*include\s*"([^"]+)"', data, re.M):
+            candidates = (d / name.decode() for d in (path.parent, *dirs))
+            found = next((f for f in candidates if f.is_file()), None)
+            if found is not None and found not in seen:
+                seen.add(found)
+                todo.append(found)
+    return text
+
+
+def _open(opener, command: list[str], source: Path, name: str, suffix: str):
     import tempfile
 
     try:
         cache = source.parent / "__pycache__"
         cache.mkdir(exist_ok=True)
-        return opener(str(_built(command, source, cache / name)))
+        return opener(str(_built(command, source, cache / name, suffix)))
     except OSError:
         # A read-only package: build privately for this process.
         private = Path(tempfile.mkdtemp(prefix="repro-native-"))
         try:
-            return opener(str(_built(command, source, private / name)))
+            return opener(str(_built(command, source, private / name, suffix)))
         finally:
             shutil.rmtree(private, ignore_errors=True)
 
 
-def _built(command: list[str], source: Path, path: Path) -> Path:
+def _built(command: list[str], source: Path, path: Path, suffix: str) -> Path:
     """``path``, compiling it first unless a build is already there."""
+    import contextlib
     import tempfile
 
     if path.exists():
@@ -122,4 +145,9 @@ def _built(command: list[str], source: Path, path: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Drop the builds of earlier sources; a mapped one stays mapped.
+    for stale in path.parent.glob(f"{source.stem}-{'?' * 16}{suffix}"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return path

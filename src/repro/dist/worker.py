@@ -60,6 +60,7 @@ import signal
 import socket
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -735,7 +736,9 @@ class _Session:
     def _execute_pooled(
         self, lease_id: int, units: list[WorkUnit]
     ) -> list[dict] | None:
-        """Execute a lease through the process pool (``jobs > 1``).
+        """Execute a lease through a process pool of its own
+        (``jobs > 1``), so a pool broken by a crashing unit never
+        outlives the lease.
 
         Each completed unit streams a ``result-part`` and a heartbeat;
         the acks are drained afterwards (the socket buffers them).  A
@@ -753,8 +756,10 @@ class _Session:
                 beats_sent += 1
 
         pool_error = None
+        workers = min(self.config.resolve_jobs(), len(units))
         try:
-            run_units(units, self.config, on_record=beat)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                run_units(units, self.config, on_record=beat, pool=pool)
         except (ResultHookError, OSError) as exc:
             # The beat hook is the only on_record here, so a hook
             # failure is a send failure: the connection is gone.

@@ -12,20 +12,23 @@
  *   - repro.gpu.scheduler.WarpScheduler: the cdf search, the Lemire
  *     pick, the runnable-list fallback, and the barrier release;
  *   - every repro.gpu.memory.MemorySystem operation the loop reaches,
- *     ending with flush_all.
+ *     ending with flush_all, through the memory model both native
+ *     cores include (memsys.h), on this file's hooks over Python
+ *     objects.
  *
  * It consumes both generators draw for draw as the Python loop does,
  * through numpy's bitgen_t (BitGenerator.capsule): next_double where
  * Python calls random(), numpy's Lemire rejection over next_uint32
  * where it calls integers(n), and the generator's own dirichlet() for
  * the scheduler's weight redraw.  So every statistic is identical for
- * any bit generator; change this file, engine.py, scheduler.py and
- * memory.py together (tests/test_engine_core.py holds them equal).
+ * any bit generator; change this file with engine.py and scheduler.py,
+ * and memsys.h with memory.py (tests/test_engine_core.py and
+ * tests/test_native_litmus.py hold them equal).
  *
- * State: the launch's store buffers, deferred loads, runnable list and
- * per-thread op state live here for the call.  MemorySystem.mem is read
- * and written in place; the buffers are empty on entry (Engine.run
- * checks) and again on a normal return.  Before returning, normally or
+ * State: the launch's memory model, runnable list and per-thread op
+ * state live here for the call.  MemorySystem.mem is read and written
+ * in place; the buffers are empty on entry (Engine.run checks) and
+ * again on a normal return.  Before returning, normally or
  * with an exception, run() writes back the memory system's tick,
  * counters and _fencing, the grid's n_live, each warp's n_active, and
  * each thread's done, op, op_state, to_send, at_barrier, sleep_until
@@ -56,8 +59,6 @@ typedef struct {
 /* Op kinds, in the Python loop's test order. */
 enum { K_LOAD, K_NOOP, K_RMW, K_STORE, K_FENCE, K_BARRIER, K_ISSUE, K_POLL,
        N_KINDS, K_UNKNOWN = N_KINDS };
-/* A deferred load's program-order constraint (DeferredLoad.block_mode). */
-enum { WAIT_NONE, WAIT_CHANNEL, WAIT_STORES, WAIT_LOAD };
 
 /* repro.gpu.events and repro.gpu.memory objects, bound at import. */
 static PyObject *KIND[N_KINDS];  /* OP_LOAD ... OP_POLL */
@@ -91,29 +92,67 @@ typedef struct {
     int64_t *members, n, sm;
 } Block;
 
-typedef struct {          /* one store-buffer entry */
-    PyObject *key;        /* the address object (the mem dict key) */
-    PyObject *val;
-    int64_t addr, thread, ch, tick;
-    int parked;
-} Entry;
+/* ---------------------------------------------------------------------
+ * The memory model (memsys.h) over Python objects: keys and values are
+ * the kernel's objects, memory is MemorySystem.mem, and a load delivers
+ * its value to the DeferredLoad handle the kernel holds.
+ * ------------------------------------------------------------------ */
 
-typedef struct {          /* one deferred load (DeferredLoad) */
-    PyObject *obj;        /* the handle the kernel holds */
-    PyObject *key;
-    int64_t addr, thread, sm, ch, arg;
-    int wait, resolved;
-} Load;
+typedef PyObject *ms_key, *ms_value, *ms_handle, *ms_memory;
+typedef bitgen_t *ms_rng;
+#define MS_HOLD(obj) Py_INCREF(obj)
+#define MS_DROP(obj) Py_DECREF(obj)
+
+/* next_double: the memory model's draw, and the scheduler's. */
+static inline double ms_double(bitgen_t **bg)
+{
+    return (*bg)->next_double((*bg)->state);
+}
+
+/* mem.get(key, 0), a new reference. */
+static PyObject *mem_get(PyObject *mem, PyObject *key)
+{
+    PyObject *v = PyDict_GetItemWithError(mem, key);
+    if (v == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        v = ZERO;
+    }
+    Py_INCREF(v);
+    return v;
+}
+
+static inline int ms_store(PyObject *mem, PyObject *key, PyObject *val)
+{
+    return PyDict_SetItem(mem, key, val);
+}
+
+/* handle.value = value, then handle.resolved = True. */
+static int settle(PyObject *h, PyObject *value)
+{
+    if (PyObject_SetAttr(h, S_value, value) < 0
+        || PyObject_SetAttr(h, S_resolved, Py_True) < 0)
+        return -1;
+    return 0;
+}
+
+/* _resolve_pending */
+static inline int ms_resolve(PyObject *mem, PyObject *h, PyObject *key)
+{
+    PyObject *v = mem_get(mem, key);
+    int rc = v == NULL ? -1 : settle(h, v);
+    Py_XDECREF(v);
+    return rc;
+}
+
+#include "memsys.h"
 
 typedef struct {
     /* model constants */
     int64_t burst, atomic_latency, reshuffle, fence_cycles;
-    int64_t n_ch, buf_cap, min_dist, min_age, drain_width;
-    int64_t shift, mask, patch, n_sms;
-    double leak, parked_drain;
-    const double *drain_p, *bypass_p, *slow_p, *resolve_p, *swap_p;
+    int64_t shift, mask, patch;
     /* draws */
-    bitgen_t *eng, *mbg;
+    bitgen_t *eng;
     PyObject *eng_gen, *alpha;
     /* grid */
     PyObject *grid, *thread_list, *warp_list, *block_list;
@@ -129,34 +168,15 @@ typedef struct {
     double *cdf;
     int64_t *runnable;
     PyObject *barrier;    /* block ids with threads parked at a barrier */
-    /* memory system */
-    PyObject *memsys, *mem, *fencing_set;
-    int64_t tick, n_drains, n_swaps, n_bypasses, n_slow;
-    Entry *entries, *tmp;
-    int64_t *blen;
-    int64_t n_buffered;
-    char *fencing;        /* per thread: in _fencing */
-    int64_t n_fencing;    /* threads of this launch in _fencing */
-    Load *loads;
-    Py_ssize_t n_loads, cap_loads;
-    Py_ssize_t *deferred;
-    Py_ssize_t n_deferred;
+    /* memory system: the model on ms.mem, the MemorySystem's dict */
+    MemSys ms;
+    PyObject *memsys, *fencing_set;
     PyObject *keep;       /* items of non-tuple ops, kept alive */
 } Core;
 
 /* ---------------------------------------------------------------------
  * Draws.
  * ------------------------------------------------------------------ */
-
-static inline double eng_double(Core *c)
-{
-    return c->eng->next_double(c->eng->state);
-}
-
-static inline double mem_double(Core *c)
-{
-    return c->mbg->next_double(c->mbg->state);
-}
 
 /* Generator.integers(span): numpy's buffered_bounded_lemire_uint32. */
 static uint32_t lemire(bitgen_t *bg, uint32_t span)
@@ -281,333 +301,8 @@ static inline int64_t channel(const Core *c, int64_t addr)
     int64_t q = addr / c->patch;
     if (addr % c->patch < 0)
         q--;
-    int64_t m = q % c->n_ch;
-    return m < 0 ? m + c->n_ch : m;
-}
-
-/* mem.get(key, 0), a new reference. */
-static PyObject *mem_get(Core *c, PyObject *key)
-{
-    PyObject *v = PyDict_GetItemWithError(c->mem, key);
-    if (v == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        v = ZERO;
-    }
-    Py_INCREF(v);
-    return v;
-}
-
-static inline Entry *buf_of(Core *c, int64_t sm)
-{
-    return c->entries + sm * c->buf_cap;
-}
-
-/* ---------------------------------------------------------------------
- * Deferred loads (DeferredLoad handles and MemorySystem._deferred).
- * ------------------------------------------------------------------ */
-
-/* _resolve_pending */
-static int resolve(Core *c, Load *h)
-{
-    PyObject *v = mem_get(c, h->key);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(h->obj, S_value, v);
-    Py_DECREF(v);
-    if (rc < 0 || PyObject_SetAttr(h->obj, S_resolved, Py_True) < 0)
-        return -1;
-    h->resolved = 1;
-    return 0;
-}
-
-/* Keep only the unresolved loads on the deferred list. */
-static void prune(Core *c)
-{
-    Py_ssize_t out = 0;
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++)
-        if (!c->loads[c->deferred[i]].resolved)
-            c->deferred[out++] = c->deferred[i];
-    c->n_deferred = out;
-}
-
-/* _resolve_matching; ch < 0 stands for "no channel". */
-static int resolve_matching(Core *c, int64_t thread, int64_t addr,
-                            int64_t ch)
-{
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++) {
-        Load *h = &c->loads[c->deferred[i]];
-        if (!h->resolved && h->thread == thread
-            && (h->addr == addr || (ch >= 0 && h->ch == ch))
-            && resolve(c, h) < 0)
-            return -1;
-    }
-    prune(c);
-    return 0;
-}
-
-/* A new DeferredLoad handle. */
-static PyObject *handle(int64_t thread, int64_t sm, PyObject *key,
-                        int64_t ch, int slow, PyObject *mode)
-{
-    return PyObject_CallFunction(DEFERRED_LOAD, "LLOLOO", (long long)thread,
-                                 (long long)sm, key, (long long)ch,
-                                 slow ? Py_True : Py_False,
-                                 mode ? mode : Py_None);
-}
-
-/* Append a load to the deferred list; takes a reference to obj. */
-static int defer(Core *c, PyObject *obj, PyObject *key, int64_t addr,
-                 int64_t thread, int64_t sm, int64_t ch, int wait,
-                 int64_t arg)
-{
-    if (c->n_loads == c->cap_loads) {
-        Py_ssize_t cap = c->cap_loads ? 2 * c->cap_loads : 16;
-        Load *loads = PyMem_Realloc(c->loads, cap * sizeof(Load));
-        if (loads == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        c->loads = loads;
-        Py_ssize_t *deferred =
-            PyMem_Realloc(c->deferred, cap * sizeof(Py_ssize_t));
-        if (deferred == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        c->deferred = deferred;
-        c->cap_loads = cap;
-    }
-    Load *h = &c->loads[c->n_loads];
-    Py_INCREF(obj);
-    Py_INCREF(key);
-    h->obj = obj;
-    h->key = key;
-    h->addr = addr;
-    h->thread = thread;
-    h->sm = sm;
-    h->ch = ch;
-    h->wait = wait;
-    h->arg = arg;
-    h->resolved = 0;
-    c->deferred[c->n_deferred++] = c->n_loads++;
-    return 0;
-}
-
-/* _unblocked */
-static int unblocked(Core *c, const Load *h)
-{
-    if (h->wait == WAIT_LOAD)
-        return c->loads[h->arg].resolved;
-    const Entry *buf = buf_of(c, h->sm);
-    for (int64_t j = 0; j < c->blen[h->sm]; j++)
-        if (buf[j].thread == h->thread
-            && (h->wait == WAIT_STORES || buf[j].ch == h->arg))
-            return 0;
-    return 1;
-}
-
-/* _step_deferred */
-static int step_deferred(Core *c)
-{
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++) {
-        Load *h = &c->loads[c->deferred[i]];
-        if (h->resolved)
-            continue;
-        int done = h->wait != WAIT_NONE
-            ? unblocked(c, h)
-            : mem_double(c) < c->resolve_p[h->ch];
-        if (done && resolve(c, h) < 0)
-            return -1;
-    }
-    prune(c);
-    return 0;
-}
-
-/* ---------------------------------------------------------------------
- * Store buffers.
- * ------------------------------------------------------------------ */
-
-/* Release an entry's references without committing it. */
-static void drop(Entry *e)
-{
-    Py_DECREF(e->key);
-    Py_DECREF(e->val);
-}
-
-/* _commit, consuming the entry's references. */
-static int commit(Core *c, Entry *e)
-{
-    int rc = 0;
-    if (c->n_deferred)
-        rc = resolve_matching(c, e->thread, e->addr, e->ch);
-    if (rc == 0)
-        rc = PyDict_SetItem(c->mem, e->key, e->val);
-    if (rc == 0)
-        c->n_drains++;
-    drop(e);
-    return rc;
-}
-
-/* Commit entries[0:n] in order unless rc already reports a failure;
- * after a failure, drop the rest. */
-static int commit_all(Core *c, Entry *entries, int64_t n, int rc)
-{
-    for (int64_t j = 0; j < n; j++) {
-        if (rc == 0)
-            rc = commit(c, &entries[j]);
-        else
-            drop(&entries[j]);
-    }
-    return rc;
-}
-
-/* Which entries _commit_out drains. */
-enum { BY_ADDR, BY_THREAD, BY_FENCING };
-
-/* _commit_out: keep the other entries, in order, and commit these. */
-static int commit_out(Core *c, int64_t sm, int by, int64_t arg)
-{
-    Entry *buf = buf_of(c, sm);
-    int64_t n = c->blen[sm], kept = 0, drained = 0;
-    for (int64_t j = 0; j < n; j++) {
-        int out = by == BY_ADDR ? buf[j].addr == arg
-            : by == BY_THREAD ? buf[j].thread == arg
-            : c->fencing[buf[j].thread];
-        if (out)
-            c->tmp[drained++] = buf[j];
-        else
-            buf[kept++] = buf[j];
-    }
-    c->blen[sm] = kept;
-    c->n_buffered -= drained;
-    return commit_all(c, c->tmp, drained, 0);
-}
-
-/* Remove buf[index] of SM sm, keeping order, and commit it. */
-static int drain_entry(Core *c, int64_t sm, int64_t index)
-{
-    Entry *buf = buf_of(c, sm);
-    Entry e = buf[index];
-    memmove(&buf[index], &buf[index + 1],
-            (size_t)(c->blen[sm] - index - 1) * sizeof(Entry));
-    c->blen[sm]--;
-    c->n_buffered--;
-    return commit(c, &e);
-}
-
-/* _oldest_for_addr */
-static int oldest_for_addr(const Entry *buf, int64_t j)
-{
-    for (int64_t i = 0; i < j; i++)
-        if (buf[i].addr == buf[j].addr)
-            return 0;
-    return 1;
-}
-
-/* _maybe_swap: 0, or the index of a younger entry that overtakes. */
-static int64_t maybe_swap(Core *c, const Entry *buf, int64_t n,
-                          int64_t horizon)
-{
-    const Entry *head = &buf[0];
-    for (int64_t j = 1; j < n; j++) {
-        const Entry *cand = &buf[j];
-        if (cand->tick > horizon)
-            break;
-        if (cand->ch == head->ch) {
-            if (c->leak <= 0.0)
-                continue;
-            /* Maxwell write-combining leak: rare same-channel swap. */
-            if (mem_double(c) < c->leak && oldest_for_addr(buf, j)) {
-                c->n_swaps++;
-                return j;
-            }
-            continue;
-        }
-        int64_t gap = cand->addr - head->addr;
-        if (gap < 0)
-            gap = -gap;
-        if (gap < c->min_dist)
-            continue;
-        if (mem_double(c) < c->swap_p[head->ch * c->n_ch + cand->ch]
-            && oldest_for_addr(buf, j)) {
-            c->n_swaps++;
-            return j;
-        }
-        return 0;
-    }
-    return 0;
-}
-
-/* _step_buffer */
-static int step_buffer(Core *c, int64_t sm)
-{
-    Entry *buf = buf_of(c, sm);
-    for (int64_t j = 0; c->n_fencing && j < c->blen[sm]; j++)
-        if (c->fencing[buf[j].thread]) {
-            /* Priority FIFO drain for fencing threads. */
-            if (commit_out(c, sm, BY_FENCING, 0) < 0)
-                return -1;
-            break;
-        }
-    int64_t horizon = c->tick - c->min_age, committed = 0;
-    while (c->blen[sm] && committed < c->drain_width) {
-        if (buf[0].tick > horizon)
-            break;
-        int64_t index = 0;
-        if (c->blen[sm] > 1 && buf[1].tick <= horizon)
-            index = maybe_swap(c, buf, c->blen[sm], horizon);
-        if (index != 0) {
-            /* The overtaken head is parked in the congested queue. */
-            buf[0].parked = 1;
-            if (drain_entry(c, sm, index) < 0)
-                return -1;
-            committed++;
-            continue;
-        }
-        double p = c->drain_p[buf[0].ch];
-        if (buf[0].parked)
-            p *= c->parked_drain;
-        if (mem_double(c) < p) {
-            if (drain_entry(c, sm, 0) < 0)
-                return -1;
-            committed++;
-        } else {
-            break;
-        }
-    }
-    return 0;
-}
-
-/* step: one tick; the buffers drain in SM-id order. */
-static int step(Core *c)
-{
-    c->tick++;
-    if (c->n_deferred && step_deferred(c) < 0)
-        return -1;
-    if (c->n_buffered)
-        for (int64_t sm = 0; sm < c->n_sms; sm++)
-            if (c->blen[sm] && step_buffer(c, sm) < 0)
-                return -1;
-    return 0;
-}
-
-/* flush_all */
-static int flush_all(Core *c)
-{
-    int rc = 0;
-    for (int64_t sm = 0; sm < c->n_sms; sm++) {
-        rc = commit_all(c, buf_of(c, sm), c->blen[sm], rc);
-        c->blen[sm] = 0;
-    }
-    c->n_buffered = 0;
-    for (Py_ssize_t i = 0; rc == 0 && i < c->n_deferred; i++) {
-        Load *h = &c->loads[c->deferred[i]];
-        if (!h->resolved && resolve(c, h) < 0)
-            rc = -1;
-    }
-    c->n_deferred = 0;
-    return rc;
+    int64_t m = q % c->ms.n_ch;
+    return m < 0 ? m + c->ms.n_ch : m;
 }
 
 /* ---------------------------------------------------------------------
@@ -620,99 +315,42 @@ static PyObject *mem_read(Core *c, Thread *th, PyObject *key)
     int64_t addr;
     if (addr_of(key, &addr) < 0)
         return NULL;
-    const Entry *buf = buf_of(c, th->sm);
-    int64_t own = -1, load_ch = 0;
-    int same_ch = 0;
-    for (int64_t j = c->blen[th->sm] - 1; j >= 0; j--) {
-        if (buf[j].addr == addr) {
-            Py_INCREF(buf[j].val);  /* SM-local forwarding */
-            return buf[j].val;
-        }
-        if (buf[j].thread == th->key) {
-            if (own < 0) {
-                own = j;
-                load_ch = channel(c, addr);
-            }
-            if (buf[j].ch == load_ch)
-                same_ch = 1;
-        }
-    }
-    if (own >= 0) {
-        if (same_ch || th->waiting)
-            return Py_NewRef(STALL);
-        if (mem_double(c) >= c->bypass_p[buf[own].ch]) {
-            th->waiting = 1;
-            return Py_NewRef(STALL);
-        }
-        c->n_bypasses++;
-    }
-    return mem_get(c, key);
+    int64_t j = ms_read(&c->ms, th->sm, th->key, addr, channel(c, addr),
+                        &th->waiting);
+    if (j == MS_STALL)
+        return Py_NewRef(STALL);
+    if (j == MS_MEMORY)
+        return mem_get(c->ms.mem, key);
+    return Py_NewRef(ms_buf(&c->ms, th->sm)[j].val);  /* SM-local forwarding */
 }
 
 /* write: 1 when buffered, 0 when the buffer is full, -1 on error. */
 static int mem_write(Core *c, Thread *th, PyObject *key, PyObject *val)
 {
-    int64_t sm = th->sm, addr;
-    if (c->blen[sm] >= c->buf_cap)
+    int64_t addr;
+    if (ms_full(&c->ms, th->sm))
         return 0;
-    if (addr_of(key, &addr) < 0)
+    if (addr_of(key, &addr) < 0
+        || ms_write(&c->ms, th->sm, th->key, key, val, addr,
+                    channel(c, addr)) < 0)
         return -1;
-    int64_t ch = channel(c, addr);
-    /* Program order, same address: an earlier deferred load by this
-     * thread must see the pre-store value. */
-    if (c->n_deferred && resolve_matching(c, th->key, addr, -1) < 0)
-        return -1;
-    Entry *e = &buf_of(c, sm)[c->blen[sm]++];
-    Py_INCREF(key);
-    Py_INCREF(val);
-    e->key = key;
-    e->val = val;
-    e->addr = addr;
-    e->thread = th->key;
-    e->ch = ch;
-    e->tick = c->tick;
-    e->parked = 0;
-    c->n_buffered++;
     return 1;
 }
 
 /* rmw: the old value or STALL, a new reference. */
 static PyObject *mem_rmw(Core *c, Thread *th, PyObject *key, PyObject *fn)
 {
-    int64_t sm = th->sm, addr;
+    int64_t addr;
     if (addr_of(key, &addr) < 0)
         return NULL;
-    Entry *buf = buf_of(c, sm);
-    int64_t own = -1;
-    int same_addr = 0;
-    for (int64_t j = c->blen[sm] - 1; j >= 0; j--) {
-        if (buf[j].addr == addr)
-            same_addr = 1;
-        else if (own < 0 && buf[j].thread == th->key)
-            own = j;
-    }
-    if (own >= 0) {
-        if (th->waiting)
-            return Py_NewRef(STALL);
-        if (mem_double(c) >= c->bypass_p[buf[own].ch]) {
-            th->waiting = 1;
-            return Py_NewRef(STALL);
-        }
-        c->n_bypasses++;
-        /* The atomic jumped this thread's queued stores; they stay
-         * parked in the congested write queue. */
-        for (int64_t j = 0; j < c->blen[sm]; j++)
-            if (buf[j].thread == th->key)
-                buf[j].parked = 1;
-    }
-    /* Coherence: same-address buffered stores commit first, in order. */
-    if (same_addr && commit_out(c, sm, BY_ADDR, addr) < 0)
-        return NULL;
-    PyObject *old = mem_get(c, key);
+    int rc = ms_rmw(&c->ms, th->sm, th->key, addr, &th->waiting);
+    if (rc == MS_STALL)
+        return Py_NewRef(STALL);
+    PyObject *old = rc < 0 ? NULL : mem_get(c->ms.mem, key);
     if (old == NULL)
         return NULL;
     PyObject *new = PyObject_CallOneArg(fn, old);
-    if (new == NULL || PyDict_SetItem(c->mem, key, new) < 0) {
+    if (new == NULL || PyDict_SetItem(c->ms.mem, key, new) < 0) {
         Py_XDECREF(new);
         Py_DECREF(old);
         return NULL;
@@ -721,94 +359,38 @@ static PyObject *mem_rmw(Core *c, Thread *th, PyObject *key, PyObject *fn)
     return old;
 }
 
-/* issue_load: a new DeferredLoad handle. */
+/* issue_load: a new DeferredLoad handle, with the block mode and slow
+ * flag of the model's decision. */
 static PyObject *mem_issue(Core *c, Thread *th, PyObject *key)
 {
-    int64_t addr, sm = th->sm, thread = th->key;
-    if (addr_of(key, &addr) < 0)
+    Load h = {.key = key, .thread = th->key, .sm = th->sm};
+    if (addr_of(key, &h.addr) < 0)
         return NULL;
-    int64_t ch = channel(c, addr);
-    PyObject *h, *mode;
-    /* Loads within a channel, or closer than the reorder distance, stay
-     * ordered: chain behind an earlier unresolved load by this thread. */
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++) {
-        Py_ssize_t index = c->deferred[i];
-        const Load *e = &c->loads[index];
-        int64_t gap = e->addr - addr;
-        if (gap < 0)
-            gap = -gap;
-        if (!e->resolved && e->thread == thread
-            && (e->ch == ch || gap < c->min_dist)) {
-            mode = Py_BuildValue("(sO)", "load", e->obj);
-            if (mode == NULL)
-                return NULL;
-            h = handle(thread, sm, key, ch, 0, mode);
-            Py_DECREF(mode);
-            if (h != NULL
-                && defer(c, h, key, addr, thread, sm, ch, WAIT_LOAD,
-                         index) < 0)
-                Py_CLEAR(h);
-            return h;
-        }
-    }
-    const Entry *buf = buf_of(c, sm);
-    int64_t own = -1;
-    int same_ch = 0;
-    for (int64_t j = c->blen[sm] - 1; j >= 0; j--) {
-        if (buf[j].addr == addr) {
-            h = handle(thread, sm, key, ch, 0, NULL);
-            if (h != NULL
-                && (PyObject_SetAttr(h, S_value, buf[j].val) < 0
-                    || PyObject_SetAttr(h, S_resolved, Py_True) < 0))
-                Py_CLEAR(h);
-            return h;
-        }
-        if (buf[j].thread == thread) {
-            if (own < 0)
-                own = j;
-            if (buf[j].ch == ch)
-                same_ch = 1;
-        }
-    }
-    int wait = -1;
-    if (same_ch) {
-        wait = WAIT_CHANNEL;
-        mode = Py_BuildValue("(sL)", "channel", (long long)ch);
-    } else if (own >= 0 && mem_double(c) >= c->bypass_p[buf[own].ch]) {
-        wait = WAIT_STORES;
-        mode = Py_BuildValue("(sO)", "stores", Py_None);
-    } else {
-        mode = NULL;
-    }
-    if (wait >= 0) {
-        if (mode == NULL)
-            return NULL;
-        h = handle(thread, sm, key, ch, 0, mode);
-        Py_DECREF(mode);
-        if (h != NULL
-            && defer(c, h, key, addr, thread, sm, ch, wait,
-                     wait == WAIT_CHANNEL ? ch : -1) < 0)
-            Py_CLEAR(h);
-        return h;
-    }
-    if (own >= 0)
-        c->n_bypasses++;
-    int slow = mem_double(c) < c->slow_p[ch];
-    h = handle(thread, sm, key, ch, slow, NULL);
-    if (h == NULL)
+    h.ch = channel(c, h.addr);
+    int wait = ms_issue_load(&c->ms, &h);
+    PyObject *mode = wait == WAIT_LOAD
+        ? Py_BuildValue("(sO)", "load", c->ms.loads[h.arg].handle)
+        : wait == WAIT_CHANNEL
+        ? Py_BuildValue("(sL)", "channel", (long long)h.ch)
+        : wait == WAIT_STORES ? Py_BuildValue("(sO)", "stores", Py_None)
+        : Py_NewRef(Py_None);
+    h.handle = PyObject_CallFunction(DEFERRED_LOAD, "LLOLON",
+                                     (long long)h.thread, (long long)h.sm,
+                                     key, (long long)h.ch,
+                                     wait == WAIT_NONE ? Py_True : Py_False,
+                                     mode);
+    if (h.handle == NULL)
         return NULL;
-    if (slow) {
-        c->n_slow++;
-        if (defer(c, h, key, addr, thread, sm, ch, WAIT_NONE, -1) < 0)
-            Py_CLEAR(h);
-        return h;
-    }
-    PyObject *v = mem_get(c, key);
-    if (v == NULL || PyObject_SetAttr(h, S_value, v) < 0
-        || PyObject_SetAttr(h, S_resolved, Py_True) < 0)
-        Py_CLEAR(h);
-    Py_XDECREF(v);
-    return h;
+    int rc;
+    if (wait == ISSUE_FORWARD)
+        rc = settle(h.handle, ms_buf(&c->ms, h.sm)[h.arg].val);
+    else if (wait == ISSUE_NOW)
+        rc = ms_resolve(c->ms.mem, h.handle, key);
+    else if ((rc = ms_defer(&c->ms, &h)) < 0)
+        PyErr_NoMemory();
+    if (rc < 0)
+        Py_CLEAR(h.handle);
+    return h.handle;
 }
 
 /* poll_load: the handle's value or STALL, a new reference. */
@@ -822,50 +404,6 @@ static PyObject *mem_poll(PyObject *h)
     if (yes < 0)
         return NULL;
     return yes ? PyObject_GetAttr(h, S_value) : Py_NewRef(STALL);
-}
-
-/* thread_pending */
-static int thread_pending(Core *c, int64_t sm, int64_t thread)
-{
-    const Entry *buf = buf_of(c, sm);
-    for (int64_t j = 0; j < c->blen[sm]; j++)
-        if (buf[j].thread == thread)
-            return 1;
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++) {
-        const Load *h = &c->loads[c->deferred[i]];
-        if (h->thread == thread && !h->resolved)
-            return 1;
-    }
-    return 0;
-}
-
-/* fence_begin */
-static int fence_begin(Core *c, int64_t thread)
-{
-    if (!c->fencing[thread]) {
-        c->fencing[thread] = 1;
-        c->n_fencing++;
-    }
-    for (Py_ssize_t i = 0; i < c->n_deferred; i++) {
-        Load *h = &c->loads[c->deferred[i]];
-        if (h->thread == thread && h->wait == WAIT_NONE
-            && resolve(c, h) < 0)
-            return -1;
-    }
-    prune(c);
-    return 0;
-}
-
-/* fence_done: thread_pending's negation, ending the fence when true. */
-static int fence_done(Core *c, int64_t sm, int64_t thread)
-{
-    if (thread_pending(c, sm, thread))
-        return 0;
-    if (c->fencing[thread]) {
-        c->fencing[thread] = 0;
-        c->n_fencing--;
-    }
-    return 1;
 }
 
 /* ---------------------------------------------------------------------
@@ -938,7 +476,7 @@ static int64_t pick(Core *c)
             return -2;
         /* cdf.searchsorted(roll, side="right"), numpy's binary search
          * (a NaN sorts last). */
-        double roll = eng_double(c);
+        double roll = ms_double(&c->eng);
         int64_t lo = 0, hi = c->n_units;
         while (lo < hi) {
             int64_t mid = lo + ((hi - lo) >> 1);
@@ -961,16 +499,6 @@ static int64_t pick(Core *c)
         idx = c->runnable[lemire(c->eng, (uint32_t)c->n_runnable)];
     }
     return idx;
-}
-
-/* drain_thread */
-static int drain_thread(Core *c, int64_t sm, int64_t thread)
-{
-    const Entry *buf = buf_of(c, sm);
-    for (int64_t j = 0; j < c->blen[sm]; j++)
-        if (buf[j].thread == thread)
-            return commit_out(c, sm, BY_THREAD, thread);
-    return 0;
 }
 
 /* _release_barriers, iterating the same Python set of block ids. */
@@ -1008,7 +536,7 @@ static int release_barriers(Core *c)
             if (!warp->n_active)
                 runnable(c, t->warp);
             warp->n_active++;
-            if (drain_thread(c, block->sm, t->key) < 0)
+            if (ms_commit_out(&c->ms, block->sm, BY_THREAD, t->key) < 0)
                 break;
         }
         if (PyErr_Occurred())
@@ -1107,11 +635,11 @@ static int burst(Core *c, Thread *th, int64_t ticks)
             break;
         case K_FENCE:
             if (th->pending < 0) {
-                th->pending = thread_pending(c, th->sm, th->key);
-                if (fence_begin(c, th->key) < 0)
+                th->pending = ms_thread_pending(&c->ms, th->sm, th->key);
+                if (ms_fence_begin(&c->ms, th->key) < 0)
                     goto fail;
             }
-            if (!fence_done(c, th->sm, th->key))
+            if (!ms_fence_done(&c->ms, th->sm, th->key))
                 goto stop;
             {
                 /* The fencing thread sleeps from the next tick on; a
@@ -1225,7 +753,7 @@ static int setup(Core *c)
         return -1;
 
     size_t n_t = (size_t)c->n_threads, n_w = (size_t)c->n_warps;
-    size_t n_b = (size_t)c->n_blocks, n_sm = (size_t)c->n_sms;
+    size_t n_b = (size_t)c->n_blocks;
     c->threads = PyMem_Calloc(n_t ? n_t : 1, sizeof(Thread));
     c->warps = PyMem_Calloc(n_w ? n_w : 1, sizeof(Warp));
     c->blocks = PyMem_Calloc(n_b ? n_b : 1, sizeof(Block));
@@ -1234,13 +762,9 @@ static int setup(Core *c)
     c->done_blocks = PyMem_Calloc(n_b + 1, sizeof(int64_t));
     c->runnable = PyMem_Calloc(n_w + 1, sizeof(int64_t));
     c->cdf = PyMem_Calloc((size_t)c->n_units + 1, sizeof(double));
-    c->entries = PyMem_Calloc(n_sm * (size_t)c->buf_cap + 1, sizeof(Entry));
-    c->tmp = PyMem_Calloc((size_t)c->buf_cap + 1, sizeof(Entry));
-    c->blen = PyMem_Calloc(n_sm + 1, sizeof(int64_t));
-    c->fencing = PyMem_Calloc(n_t + 1, 1);
     if (!c->threads || !c->warps || !c->blocks || !c->members
-        || !c->done_blocks || !c->runnable || !c->cdf || !c->entries
-        || !c->tmp || !c->blen || !c->fencing) {
+        || !c->done_blocks || !c->runnable || !c->cdf
+        || ms_alloc(&c->ms, c->ms.buf_cap, c->n_threads, 16, 0) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -1257,7 +781,7 @@ static int setup(Core *c)
         th->sm = as_int64(th->obj, S_sm);
         if (PyErr_Occurred())
             return -1;
-        if (th->key != i || th->sm < 0 || th->sm >= c->n_sms) {
+        if (th->key != i || th->sm < 0 || th->sm >= c->ms.n_sms) {
             PyErr_SetString(PyExc_ValueError,
                             "engine core: thread keys must number the grid's "
                             "threads in order, on the chip's SMs");
@@ -1294,27 +818,27 @@ static int setup(Core *c)
         block->sm = as_int64(obj, S_sm);
         if (block->sm == -1 && PyErr_Occurred())
             return -1;
-        if (block->sm < 0 || block->sm >= c->n_sms) {
+        if (block->sm < 0 || block->sm >= c->ms.n_sms) {
             PyErr_SetString(PyExc_ValueError,
                             "engine core: a block outside the chip's SMs");
             return -1;
         }
     }
 
-    if ((c->mem = PyObject_GetAttr(c->memsys, S_mem)) == NULL
+    if ((c->ms.mem = PyObject_GetAttr(c->memsys, S_mem)) == NULL
         || (c->fencing_set = PyObject_GetAttr(c->memsys, S_fencing)) == NULL)
         return -1;
-    if (!PyDict_Check(c->mem) || !PySet_Check(c->fencing_set)) {
+    if (!PyDict_Check(c->ms.mem) || !PySet_Check(c->fencing_set)) {
         PyErr_SetString(PyExc_TypeError,
                         "engine core: MemorySystem.mem must be a dict and "
                         "_fencing a set");
         return -1;
     }
-    c->tick = as_int64(c->memsys, S_tick);
-    c->n_drains = as_int64(c->memsys, S_n_drains);
-    c->n_swaps = as_int64(c->memsys, S_n_swaps);
-    c->n_bypasses = as_int64(c->memsys, S_n_bypasses);
-    c->n_slow = as_int64(c->memsys, S_n_slow_loads);
+    c->ms.tick = as_int64(c->memsys, S_tick);
+    c->ms.n_drains = as_int64(c->memsys, S_n_drains);
+    c->ms.n_swaps = as_int64(c->memsys, S_n_swaps);
+    c->ms.n_bypasses = as_int64(c->memsys, S_n_bypasses);
+    c->ms.n_slow = as_int64(c->memsys, S_n_slow_loads);
     if (PyErr_Occurred())
         return -1;
     /* A key of another launch can stay in _fencing after a timeout; it
@@ -1324,8 +848,8 @@ static int setup(Core *c)
         int in = PySet_Contains(c->fencing_set, c->threads[i].key_obj);
         if (in < 0)
             return -1;
-        c->fencing[i] = (char)in;
-        c->n_fencing += in;
+        c->ms.fencing[i] = (char)in;
+        c->ms.n_fencing += in;
     }
     if ((c->barrier = PySet_New(NULL)) == NULL
         || (c->keep = PyList_New(0)) == NULL)
@@ -1372,15 +896,15 @@ static int writeback(Core *c)
                 return -1;
             }
         }
-        if (!c->n_fencing && !PySet_GET_SIZE(c->fencing_set))
+        if (!c->ms.n_fencing && !PySet_GET_SIZE(c->fencing_set))
             continue;
         int was = PySet_Contains(c->fencing_set, th->key_obj);
         if (was < 0)
             return -1;
-        if (c->fencing[i] && !was
+        if (c->ms.fencing[i] && !was
             && PySet_Add(c->fencing_set, th->key_obj) < 0)
             return -1;
-        if (!c->fencing[i] && was
+        if (!c->ms.fencing[i] && was
             && PySet_Discard(c->fencing_set, th->key_obj) < 0)
             return -1;
     }
@@ -1389,11 +913,11 @@ static int writeback(Core *c)
             && set_int(c->warps[w].obj, S_n_active, c->warps[w].n_active) < 0)
             return -1;
     if (set_int(c->grid, S_n_live, c->n_live) < 0
-        || set_int(c->memsys, S_tick, c->tick) < 0
-        || set_int(c->memsys, S_n_drains, c->n_drains) < 0
-        || set_int(c->memsys, S_n_swaps, c->n_swaps) < 0
-        || set_int(c->memsys, S_n_bypasses, c->n_bypasses) < 0
-        || set_int(c->memsys, S_n_slow_loads, c->n_slow) < 0)
+        || set_int(c->memsys, S_tick, c->ms.tick) < 0
+        || set_int(c->memsys, S_n_drains, c->ms.n_drains) < 0
+        || set_int(c->memsys, S_n_swaps, c->ms.n_swaps) < 0
+        || set_int(c->memsys, S_n_bypasses, c->ms.n_bypasses) < 0
+        || set_int(c->memsys, S_n_slow_loads, c->ms.n_slow) < 0)
         return -1;
     return 0;
 }
@@ -1412,14 +936,7 @@ static void release(Core *c)
     if (c->blocks)
         for (Py_ssize_t b = 0; b < c->n_blocks; b++)
             Py_XDECREF(c->blocks[b].id);
-    if (c->entries && c->blen)
-        for (int64_t sm = 0; sm < c->n_sms; sm++)
-            for (int64_t j = 0; j < c->blen[sm]; j++)
-                drop(&buf_of(c, sm)[j]);
-    for (Py_ssize_t i = 0; i < c->n_loads; i++) {
-        Py_DECREF(c->loads[i].obj);
-        Py_DECREF(c->loads[i].key);
-    }
+    ms_free(&c->ms);
     PyMem_Free(c->threads);
     PyMem_Free(c->warps);
     PyMem_Free(c->blocks);
@@ -1427,16 +944,10 @@ static void release(Core *c)
     PyMem_Free(c->done_blocks);
     PyMem_Free(c->runnable);
     PyMem_Free(c->cdf);
-    PyMem_Free(c->entries);
-    PyMem_Free(c->tmp);
-    PyMem_Free(c->blen);
-    PyMem_Free(c->fencing);
-    PyMem_Free(c->loads);
-    PyMem_Free(c->deferred);
     Py_XDECREF(c->thread_list);
     Py_XDECREF(c->warp_list);
     Py_XDECREF(c->block_list);
-    Py_XDECREF(c->mem);
+    Py_XDECREF(c->ms.mem);
     Py_XDECREF(c->fencing_set);
     Py_XDECREF(c->barrier);
     Py_XDECREF(c->keep);
@@ -1458,7 +969,8 @@ static PyObject *run(PyObject *self, PyObject *args)
     memset(&c, 0, sizeof c);
     PyObject *mem_gen, *words, *factors, *result = NULL;
     Py_buffer tables;
-    long long stress, max_ticks, w[13];
+    long long stress, max_ticks;
+    int64_t w[13];
     double f[2];
     (void)self;
     if (!PyArg_ParseTuple(args, "OOOOOLpLOOy*", &c.grid, &c.memsys,
@@ -1479,19 +991,13 @@ static PyObject *run(PyObject *self, PyObject *args)
         c.atomic_latency = w[1];
         c.reshuffle = w[2];
         c.fence_cycles = w[3];
-        c.n_ch = w[4];
-        c.buf_cap = w[5];
-        c.min_dist = w[6];
-        c.min_age = w[7];
-        c.drain_width = w[8];
-        c.n_sms = w[9];
+        ms_bind(&c.ms, &w[4], f, tables.buf, w[9]);
         c.shift = w[10];
         c.mask = w[11];
         c.patch = w[12];
-        c.leak = f[0];
-        c.parked_drain = f[1];
-        ok = c.n_sms > 0 && c.n_ch > 0 && c.buf_cap >= 0 && c.patch > 0
-            && tables.len == (Py_ssize_t)((4 + c.n_ch) * c.n_ch
+        ok = c.ms.n_sms > 0 && c.ms.n_ch > 0 && c.ms.buf_cap >= 0
+            && c.patch > 0
+            && tables.len == (Py_ssize_t)((4 + c.ms.n_ch) * c.ms.n_ch
                                           * sizeof(double));
     }
     if (!ok) {
@@ -1500,15 +1006,10 @@ static PyObject *run(PyObject *self, PyObject *args)
                             "engine core: malformed words, factors or tables");
         goto done;
     }
-    c.drain_p = tables.buf;
-    c.bypass_p = c.drain_p + c.n_ch;
-    c.slow_p = c.drain_p + 2 * c.n_ch;
-    c.resolve_p = c.drain_p + 3 * c.n_ch;
-    c.swap_p = c.drain_p + 4 * c.n_ch;
     c.max_ticks = max_ticks;
     c.n_units = stress > 0 ? stress : 0;
     if ((c.eng = bitgen_of(c.eng_gen)) == NULL
-        || (c.mbg = bitgen_of(mem_gen)) == NULL || setup(&c) < 0)
+        || (c.ms.rng = bitgen_of(mem_gen)) == NULL || setup(&c) < 0)
         goto done;
 
     int64_t ticks = 0;
@@ -1532,12 +1033,12 @@ static PyObject *run(PyObject *self, PyObject *args)
                     goto fail;
             }
         }
-        if (step(&c) < 0)
+        if (ms_step(&c.ms) < 0)
             goto fail;
         if (PySet_GET_SIZE(c.barrier) && release_barriers(&c) < 0)
             goto fail;
     }
-    if (flush_all(&c) < 0)
+    if (ms_flush_all(&c.ms, 0) < 0)
         goto fail;
     if (writeback(&c) == 0)
         result = Py_BuildValue("(OLLL)", timed_out ? Py_True : Py_False,

@@ -18,9 +18,10 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   the whole launch in one call of the native core, ``engine.c``, a
   CPython extension compiled on the first run (never at import) by
   :func:`repro.cbuild.load`.  The core is a second implementation of
-  :meth:`Engine._loop`, the Python tick loop below, of the
-  :class:`~repro.gpu.scheduler.WarpScheduler` and of every
-  :class:`~repro.gpu.memory.MemorySystem` operation the loop reaches.
+  :meth:`Engine._loop`, the Python tick loop below, and of the
+  :class:`~repro.gpu.scheduler.WarpScheduler`; every
+  :class:`~repro.gpu.memory.MemorySystem` operation the loop reaches
+  runs in the C memory model ``memsys.h``.
   It resumes the kernel coroutines with ``PyIter_Send``, reads and
   writes ``MemorySystem.mem`` in place, and draws through numpy's
   ``bitgen_t`` of both generators exactly what ``random()``,
@@ -30,11 +31,11 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   counters and ``_fencing``, and the grid's and threads' state.
 * ``_loop`` stays as the fallback, with a warning, where the core
   cannot be built or a stream is not numpy-backed, and as the oracle:
-  tests force it by setting ``_core`` to ``None``.  Three
-  implementations change together: this module and ``scheduler.py``
-  with ``engine.c`` (``tests/test_engine_core.py`` holds them equal),
-  and ``memory.py`` with ``engine.c`` and with
-  ``repro/litmus/native.c`` (``tests/test_native_litmus.py``).
+  tests force it by setting ``_core`` to ``None``.  This module and
+  ``scheduler.py`` change with ``engine.c``, and ``memory.py`` with
+  the memory model ``memsys.h`` that ``engine.c`` and
+  ``repro/litmus/native.c`` include; ``tests/test_engine_core.py``
+  and ``tests/test_native_litmus.py`` hold them equal.
 * The tick loop is O(1) per tick outside the picked warp: kernel
   completion reads the grid's maintained live-thread counter, each
   thread carries its SM (no per-run key->SM dict), and warp runnability

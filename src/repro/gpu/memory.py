@@ -59,23 +59,14 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   quadratic ``buf.remove(entry)``.
 * :meth:`MemorySystem.reset` restores the pristine post-construction
   state so one instance can serve an entire batch of executions.
-* Two C files reimplement parts of this class draw for draw; a change
-  here changes them too:
-
-  - ``repro/litmus/native.c``, the subset a two-thread ld/st litmus
-    round reaches (``write``, ``issue_load``, the deferred-load and
-    store-buffer steps, ``_commit``/``_resolve_matching``,
-    ``drain_until`` and ``flush_all``), held equal by
-    ``tests/test_native_litmus.py``.  :class:`MemoryTables` packs the
-    kernel's tables straight from the numpy arrays, and
-    :func:`native_chip` packs the constants it reads off the profile;
-  - ``repro/gpu/engine.c``, the native engine core, every operation the
-    engine's tick loop reaches (``read``, ``write``, ``rmw``,
-    ``issue_load``/``poll_load``, the fence calls, ``drain_thread``,
-    ``step`` and ``flush_all``), held equal by
-    ``tests/test_engine_core.py``.  It reads :attr:`tables` packed and
-    the constants of :func:`core_words`, and works on ``mem`` in
-    place.
+* ``repro/gpu/memsys.h`` reimplements this class draw for draw in C,
+  once for both native cores: the litmus kernel
+  ``repro/litmus/native.c`` and the engine core ``repro/gpu/engine.c``
+  include it.  The two implementations change together;
+  ``tests/test_native_litmus.py`` and ``tests/test_engine_core.py``
+  hold them equal.  The cores read :attr:`MemoryTables.packed` and the
+  constants of :func:`native_chip` or :func:`core_words`; the engine
+  core works on ``mem`` in place.
 
 None of this changes a single random draw: every decision consumes the
 same generator stream, in the same order, as the original scan-based
@@ -149,9 +140,9 @@ def _bleed_matrix(n: int) -> np.ndarray:
 class MemoryTables:
     """The per-channel probability tables of one (chip, field, scale).
 
-    ``packed`` holds them as C doubles in the native litmus kernel's
-    order: ``drain_p``, ``bypass_p``, ``slow_p``, ``resolve_p``, then
-    ``swap_p`` row by row (see ``repro/litmus/native.c``).  ``lists``
+    ``packed`` holds them as C doubles in the native cores' order:
+    ``drain_p``, ``bypass_p``, ``slow_p``, ``resolve_p``, then
+    ``swap_p`` row by row (see ``ms_bind`` in ``memsys.h``).  ``lists``
     unpacks them, on first use, into ``(drain_p, swap_p, bypass_p,
     slow_p, resolve_p)`` as plain lists (``swap_p`` a list of rows) for
     the Python paths, so a cache entry only the kernel reads holds no

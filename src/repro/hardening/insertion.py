@@ -30,7 +30,6 @@ from ..parallel import (
     merge_check_shards,
     parallel_map,
     shard_ranges,
-    shared_pool,
 )
 from ..rng import derive_seed
 from ..scale import DEFAULT, Scale
@@ -180,7 +179,6 @@ class EmpiricalFenceInserter:
                     )
                 ],
                 self.parallel,
-                pool=shared_pool(self.parallel),
             )
             first = merge_check_shards(shards, iterations)
         performed = iterations if first is None else first + 1

@@ -11,9 +11,10 @@ words in place.
 
 The source is plain C with no Python headers, so it needs only a C
 compiler: on the first call of :func:`kernel`, :func:`repro.cbuild.load`
-compiles it (``-ffp-contract=off``, into this package's ``__pycache__/``
-under a name that carries the source's hash and the machine) and it is
-loaded with :mod:`ctypes`.
+compiles it with the memory model it shares with the engine core,
+``repro/gpu/memsys.h`` (``-ffp-contract=off``, into this package's
+``__pycache__/`` under a name that carries the hash of both files and
+the machine), and it is loaded with :mod:`ctypes`.
 
 Without a working compiler, or on a non-64-bit interpreter,
 :func:`kernel` returns ``None`` and the runner steps every round through
@@ -34,6 +35,9 @@ from .. import cbuild
 from ..rng import BufferedRNG
 
 _SOURCE = Path(__file__).with_name("native.c")
+#: Where ``native.c`` finds the memory model it shares with the engine
+#: core, ``memsys.h``.
+_MODEL = Path(__file__).parents[1] / "gpu"
 _MASK64 = (1 << 64) - 1
 #: Words C pre-draws per block.  An execution's stress build and
 #: randomiser take a handful; the kernel steps back past the rest.
@@ -153,7 +157,7 @@ def _load():
         return None
     lib = cbuild.load(
         _SOURCE, f"-{sys.platform}-{platform.machine()}.so", ctypes.CDLL,
-        "running the Python rounds",
+        "running the Python rounds", (f"-I{_MODEL}",),
     )
     if lib is None:
         return None

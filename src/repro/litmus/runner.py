@@ -48,7 +48,6 @@ from ..parallel import (
     merge_litmus_shards,
     parallel_map,
     shard_ranges,
-    shared_pool,
 )
 from ..rng import BufferedRNG, derive_seed, make_rng
 from . import native
@@ -559,7 +558,6 @@ def _run_backend(
             for lo, hi in shard_ranges(n_blocks, config)
         ],
         config,
-        pool=shared_pool(config),
     )
     weak = merge_litmus_shards(shards, executions)
     histogram = None

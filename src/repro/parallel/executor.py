@@ -187,10 +187,8 @@ def parallel_map(
     (results already reported stay reported, which is exactly the
     at-least-this-much durability a checkpoint stream wants).
 
-    ``pool`` optionally supplies an existing
-    :class:`~concurrent.futures.ProcessPoolExecutor` to dispatch into
-    (see :func:`shared_pool`); without it the call spawns and tears
-    down its own pool, exactly as before.
+    ``pool`` is the :class:`~concurrent.futures.ProcessPoolExecutor`
+    to dispatch into, by default :func:`shared_pool`'s for ``config``.
     """
     work: Sequence = items if isinstance(items, Sequence) else list(items)
     if config.serial or len(work) <= 1:
@@ -203,14 +201,13 @@ def parallel_map(
         return out
     workers = min(config.resolve_jobs(), len(work))
     chunksize = max(1, len(work) // (workers * CHUNKS_PER_JOB))
-    if pool is not None:
-        try:
-            return _pooled_map(fn, work, chunksize, on_result, pool)
-        except BrokenProcessPool:
-            _forget_shared(pool)
-            raise
-    with ProcessPoolExecutor(max_workers=workers) as own_pool:
-        return _pooled_map(fn, work, chunksize, on_result, own_pool)
+    if pool is None:
+        pool = shared_pool(config)
+    try:
+        return _pooled_map(fn, work, chunksize, on_result, pool)
+    except BrokenProcessPool:
+        _forget_shared(pool)
+        raise
 
 
 def _forget_shared(pool: ProcessPoolExecutor) -> None:

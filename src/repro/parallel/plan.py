@@ -143,10 +143,10 @@ def run_units(
     """The local execution backend: units through the process pool.
 
     ``on_record(index, record)`` streams each completed record back in
-    completion order (the checkpointing hook).  ``pool`` optionally
-    reuses an existing :class:`~concurrent.futures.ProcessPoolExecutor`
-    (see :func:`~repro.parallel.executor.shared_pool`) so successive
-    grids pay the pool spawn cost once.
+    completion order (the checkpointing hook).  ``pool`` is the
+    :class:`~concurrent.futures.ProcessPoolExecutor` to run in, by
+    default :func:`~repro.parallel.executor.shared_pool`'s, so
+    successive grids pay the pool spawn cost once.
     """
     return parallel_map(
         execute_unit, list(units), config, on_result=on_record, pool=pool

@@ -18,12 +18,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..errors import ReproError, ResultHookError
-from ..parallel import (
-    ParallelConfig,
-    WorkUnit,
-    run_units,
-    shared_pool,
-)
+from ..parallel import ParallelConfig, WorkUnit, run_units
 from . import records as rec
 from .ledger import RunLedger
 
@@ -71,10 +66,7 @@ def submit_units(
             pending_indices.append(i)
     if pending:
         if submit is None:
-            def submit(batch, cfg, on_record):
-                return run_units(
-                    batch, cfg, on_record, pool=shared_pool(cfg)
-                )
+            submit = run_units
         if ledger is not None:
             with ledger.writer() as checkpoint:
 

@@ -13,8 +13,9 @@ counts too).  The Python side is forced by setting ``engine._core`` to
   two seeds each: equal ``AppRun``s, final memory image, ``tick``,
   ``n_*`` counters, ``_fencing`` and next draws;
 * timeouts with and without ``raise_on_timeout`` (thread states too),
-  kernels that raise or yield a malformed op, and distinct engine and
-  memory generators as in ``tests/test_engine.py``;
+  kernels that raise or yield a malformed op, a launch with more loads
+  in flight than the deferred-load list first has room for, and
+  distinct engine and memory generators as in ``tests/test_engine.py``;
 * every ``GOLDEN_APP_FINGERPRINTS`` row and ``GOLDEN_CAMPAIGN_CELL`` on
   the Python loop (``tests/test_golden_stats.py`` runs them on the
   core);
@@ -22,7 +23,8 @@ counts too).  The Python side is forced by setting ``engine._core`` to
   byte-identically on both paths, and the ``--backend engine`` litmus
   path (the only user of issue/poll ops) gives identical weak counts
   and outcome histograms;
-* the build is lazy, and a failed build warns once and leaves the
+* the build is lazy, an edit of the shared ``memsys.h`` alone renames
+  both cores' builds, and a failed build warns once and leaves the
   Python loop in charge with identical results.
 """
 
@@ -284,6 +286,38 @@ def test_failing_kernels_match_python_loop(kind, randomise):
         assert isinstance(core[0], tuple) and isinstance(core[0][0], type)
 
 
+def _many_loads(ctx):
+    """Each thread stores, then has 12 loads in flight at once: a launch
+    of 16 threads defers far more loads than the list first has room
+    for, so the core's list grows twice."""
+    g = ctx.global_tid()
+    yield ctx.store(_DATA, g % 32, g)
+    handles = []
+    for i in range(12):
+        handles.append((yield ctx.issue_load(_DATA, (g + 5 * i) % 32)))
+    for i, handle in enumerate(handles):
+        value = yield ctx.await_load(handle)
+        yield ctx.store(_DATA, 32 + (g + i) % 32, value)
+
+
+@needs_core
+@pytest.mark.parametrize("randomise", [False, True])
+def test_growing_deferred_load_list_matches_python_loop(randomise):
+    def run():
+        chip = get_chip("K20")
+        mem = MemorySystem(chip, rng=np.random.default_rng(21))
+        spec = TunedStress(shipped_params("K20"))
+        mem.set_stress(spec.build(chip, 4096, 4096, np.random.default_rng(22)))
+        eng = Engine(chip, mem, np.random.default_rng(23), n_stress_units=2,
+                     randomise=randomise)
+        outcome = eng.run(Kernel("loads", _many_loads), LaunchConfig(4, 4, 2))
+        return outcome, _memory_state(mem, mem.rng, eng.rng)
+
+    core, python = _both(run)
+    assert core == python
+    assert core[1][5] > 0  # n_slow_loads: the deferred path ran
+
+
 @needs_core
 def test_non_int_address_is_refused():
     """The core takes addresses as 64-bit ints, as every op constructor
@@ -389,6 +423,39 @@ def test_core_builds_where_a_compiler_exists():
 
     if cbuild.compiler() is not None and include.exists():
         assert engine.core() is not None
+
+
+@needs_core
+def test_editing_the_model_renames_both_builds(tmp_path, monkeypatch):
+    """Both cores include ``memsys.h``, so an edit of the header alone
+    gives each a new build name."""
+    from repro import cbuild
+    from repro.litmus import native
+
+    (tmp_path / "litmus").mkdir()
+    model = tmp_path / "gpu"
+    model.mkdir()
+    for source, into in ((native._SOURCE, tmp_path / "litmus"),
+                         (engine._SOURCE, model),
+                         (engine._SOURCE.with_name("memsys.h"), model)):
+        (into / source.name).write_bytes(source.read_bytes())
+    monkeypatch.setattr(native, "_SOURCE", tmp_path / "litmus" / "native.c")
+    monkeypatch.setattr(native, "_MODEL", model)
+    monkeypatch.setattr(engine, "_SOURCE", model / "engine.c")
+    names = []
+    monkeypatch.setattr(cbuild, "_open", lambda *args: names.append(args[3]))
+
+    def build_names():
+        native._load()
+        engine._load()
+        return names[-2:]
+
+    before = build_names()
+    with open(model / "memsys.h", "a") as header:
+        header.write("/* edited */\n")
+    after = build_names()
+    assert [name.split("-")[0] for name in before] == ["native", "engine"]
+    assert before[0] != after[0] and before[1] != after[1]
 
 
 def test_processes_without_kernels_never_build_the_core():

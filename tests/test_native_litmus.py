@@ -20,13 +20,17 @@ so a pending 32-bit half word counts too).
 * C seeding against ``np.random.default_rng(derive_seed(...))``, and a
   kernel-path span that builds no numpy generator at all (the stream's
   draws are fuzzed against numpy in ``tests/test_rng.py``);
+* the tuning artefacts only CI smokes reached: ``table3``, ``fig3`` and
+  ``fig4`` render byte-identically on both paths;
 * the build is not allowed to fail silently where a compiler exists,
-  falls back to a private directory in a read-only package, and leaves
-  the Python rounds in charge when it cannot succeed.
+  falls back to a private directory in a read-only package, prunes the
+  builds it replaces, and leaves the Python rounds in charge when it
+  cannot succeed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import shutil
 import zlib
@@ -43,7 +47,9 @@ from repro.litmus import ALL_TESTS, native, runner
 from repro.litmus.ir import And, LocEq, Or, RegEq, ld, st as st_ins
 from repro.litmus.runner import LitmusInstance, _litmus_span, _round_plan
 from repro.litmus.tests import LitmusTest
+from repro.reporting.experiments import figure3, figure4, table3
 from repro.rng import BufferedRNG, derive_seed
+from repro.scale import SMOKE
 from repro.stress.strategies import (
     FixedLocationStress,
     NoStress,
@@ -239,6 +245,25 @@ def test_random_programs_match_python_rounds(
     assert _traces(*args, python=False) == _traces(*args, python=True)
 
 
+#: Smoke scale with fewer sequence-scoring executions (table3 scores 30
+#: sequences), so the renders on the Python rounds stay short.
+_TINY = dataclasses.replace(SMOKE, name="tiny", seq_executions=8)
+
+
+@needs_kernel
+@pytest.mark.parametrize("render", [
+    lambda: table3(scale=_TINY, chip="Titan"),
+    lambda: figure3(scale=_TINY, chips=("C2075",)),
+    lambda: figure4(scale=_TINY, chips=("K20",)),
+], ids=["table3", "fig3", "fig4"])
+def test_tuning_artefacts_render_identically_on_both_paths(
+    render, monkeypatch
+):
+    on_kernel = render()
+    monkeypatch.setattr(native, "_kernel", None)
+    assert render() == on_kernel
+
+
 def test_kernel_builds_where_a_compiler_exists():
     """A broken build must not fall back to the Python rounds silently
     on a host that has a C compiler."""
@@ -266,6 +291,28 @@ def test_read_only_package_builds_privately(tmp_path, monkeypatch):
         "__pycache__", "native.c",
     ]
     assert list(private.iterdir()) == []
+
+
+@needs_kernel
+def test_new_build_prunes_stale_builds(tmp_path, monkeypatch):
+    """A fresh build deletes the earlier builds of its stem and suffix,
+    and keeps builds for another platform."""
+    import platform
+    import sys
+
+    source = tmp_path / "native.c"
+    source.write_bytes(native._SOURCE.read_bytes())
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    suffix = f"-{sys.platform}-{platform.machine()}.so"
+    stale = cache / f"native-{'0' * 16}{suffix}"
+    other = cache / f"native-{'0' * 16}-other-machine.so"
+    stale.write_text("stale")
+    other.write_text("other")
+    monkeypatch.setattr(native, "_SOURCE", source)
+    assert native._load() is not None
+    assert not stale.exists() and other.exists()
+    assert len(list(cache.glob(f"native-*{suffix}"))) == 1
 
 
 @needs_kernel

@@ -318,7 +318,7 @@ class TestSharedPool:
 
         config = ParallelConfig(jobs=2)
         items = list(range(20))
-        expected = parallel_map(_square, items, config)
+        expected = parallel_map(_square, items, SERIAL)
         try:
             pool = shared_pool(config)
             first = parallel_map(_square, items, config, pool=pool)
