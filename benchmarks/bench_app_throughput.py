@@ -9,7 +9,9 @@ shapes those harnesses actually execute:
 * one sys-str campaign cell (cbe-dot on K20 under the tuned ``sys-str+``
   environment) through the batch driver
   (:class:`repro.apps.base.ApplicationBatch`) and, for comparison, the
-  one-shot :func:`run_application` path;
+  one-shot :func:`run_application` path, which builds a memory system
+  and an engine per run (``app.setup`` and the grid are built once per
+  process, so after the first run it reuses them as a batch does);
 * one empirical fence-insertion reduction (Algorithm 1 on cbe-dot/K20
   at a reduced scale), reported as check-runs/second.
 
@@ -154,7 +156,9 @@ def test_batch_sys_str_cell_throughput(bench_json):
 
 
 def test_single_run_sys_str_cell_throughput(bench_json):
-    """The one-shot path (setup per run), for the amortisation delta."""
+    """The one-shot path: a memory system and engine per run, with the
+    process's memoised set-up and grid (the delta to the batch is the
+    cost of those two constructions)."""
     app = get_application("cbe-dot")
     chip = get_chip("K20")
     env = _sys_str_env()

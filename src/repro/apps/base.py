@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..chips.profile import HardwareProfile
-from ..gpu.addresses import AddressSpace
+from ..gpu.addresses import AddressSpace, Buffer
 from ..gpu.engine import Engine, ExecutionResult
 from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import MemorySystem
@@ -97,23 +97,79 @@ class Application(abc.ABC):
         }
 
 
+@dataclass(frozen=True)
+class _Setup:
+    """What one (application, chip) pair's runs share: ``setup``'s
+    launches and checker, the host image it wrote, the stressing
+    scratchpad and the application's warp and thread counts."""
+
+    launches: tuple[Launch, ...]
+    checker: Checker
+    image: dict[int, object]
+    scratch: Buffer
+    app_warps: int
+    app_threads: int
+
+
+#: The set-up of every (application, ``chip.cache_token``) pair this
+#: process has built a batch for (profiles are unhashable).
+_SETUPS: dict[tuple[Application, tuple], _Setup] = {}
+
+
+def _shared_setup(
+    app: Application, chip: HardwareProfile, mem: MemorySystem
+) -> _Setup:
+    """The process's set-up of ``app`` on ``chip``; the first call for a
+    pair runs ``app.setup`` against ``mem``.
+
+    Sharing is safe because applications are registry singletons, a
+    checker reads only the memory system it is passed, and nothing
+    ``setup`` makes (kernels, buffers, the image) is mutated after it.
+    """
+    key = (app, chip.cache_token)
+    setup = _SETUPS.get(key)
+    if setup is None:
+        # Buffers are allocated with cudaMalloc's 256-byte (64-word)
+        # alignment, so distinct buffers occupy distinct patches.
+        space = AddressSpace(default_align=64)
+        launches, checker = app.setup(space, mem)
+        scratch = space.alloc(
+            "stress-scratchpad",
+            4096,
+            align=chip.patch_size * chip.n_channels,
+        )
+        setup = _SETUPS[key] = _Setup(
+            launches=tuple(launches),
+            checker=checker,
+            image=dict(mem.mem),
+            scratch=scratch,
+            app_warps=sum(
+                cfg.grid_dim * cfg.warps_per_block for _k, cfg in launches
+            ),
+            app_threads=max(cfg.n_threads for _k, cfg in launches),
+        )
+    return setup
+
+
 class ApplicationBatch:
     """Reusable execution context for many runs of one (app, chip, env).
 
     A campaign cell, a fence-insertion reduction or a cost-study loop
     performs thousands of :func:`run_application`-shaped executions that
     differ only in seed (and, for insertion, the fence set).  Everything
-    else is run-invariant, so it is built exactly once here:
+    else is run-invariant:
 
-    * the :class:`AddressSpace` layout (bump allocation is
-      deterministic, so every run sees the same buffer bases);
-    * the application's host-initialised memory image (``setup`` writes
-      are captured into a dict and replayed per run);
-    * the kernel launches, post-condition checker and stressing
-      geometry (scratchpad, thread ranges, warp counts);
-    * one :class:`MemorySystem` (restored via ``reset``) and one
-      :class:`Engine` (re-pointed at each run's generator), which builds
-      each launch's grid on the first run and relaunches it after.
+    * ``app.setup`` runs once per process for each (application, chip)
+      pair, and every batch of the pair shares what it made: the
+      :class:`AddressSpace` layout (bump allocation is deterministic,
+      so every run sees the same buffer bases), the host-initialised
+      memory image (``setup`` writes are captured into a dict and
+      replayed per run), the kernel launches, the post-condition
+      checker and the stressing scratchpad and warp and thread counts;
+    * each batch owns one :class:`MemorySystem` (restored via
+      ``reset``) and one :class:`Engine` (re-pointed at each run's
+      generator), and the engine relaunches the process's grid of
+      each launch geometry (see :func:`repro.gpu.grid.build_grid`).
 
     Per run only the seed-derived :class:`BufferedRNG`, the stress field
     it draws, and the thread coroutines (instantiated when the engine
@@ -143,27 +199,14 @@ class ApplicationBatch:
         self.randomise = randomise
         self.max_ticks = max_ticks
 
-        # Buffers are allocated with cudaMalloc's 256-byte (64-word)
-        # alignment, so distinct buffers occupy distinct patches.
-        space = AddressSpace(default_align=64)
-        # The memory system is created before setup so applications can
-        # host-initialise through it; the construction-time generator is
-        # a placeholder (``reset`` installs each run's stream before any
-        # draw happens).
+        # The memory system is created first so the pair's first set-up
+        # can host-initialise through it; the construction-time
+        # generator is a placeholder (``reset`` installs each run's
+        # stream before any draw happens).
         mem = MemorySystem(chip, weak_scale=chip.app_sensitivity(app.name))
-        self._launches, self._checker = app.setup(space, mem)
-        self._scratch = space.alloc(
-            "stress-scratchpad",
-            4096,
-            align=chip.patch_size * chip.n_channels,
-        )
-        self._image = dict(mem.mem)
+        self._setup = _shared_setup(app, chip, mem)
         self._mem = mem
-
-        self._app_warps = sum(
-            cfg.grid_dim * cfg.warps_per_block for _k, cfg in self._launches
-        )
-        app_threads = max(cfg.n_threads for _k, cfg in self._launches)
+        app_threads = self._setup.app_threads
         # Paper Sec. 4.2: stressing blocks are 15%-50% of the
         # application's blocks, so thread counts scale with the
         # application, not the chip.
@@ -197,20 +240,21 @@ class ApplicationBatch:
         # repro.rng); delegated distributions sync the stream position
         # first, so every statistic matches the raw generator's.
         rng = BufferedRNG(make_rng(seed, "app", app.name, chip.short_name))
+        setup = self._setup
         mem = self._mem
         mem.reset(rng=rng)
-        mem.mem.update(self._image)
-        scratch = self._scratch
+        mem.mem.update(setup.image)
+        scratch = setup.scratch
         spec = self._spec
         mem.set_stress(spec.build(chip, scratch.base, scratch.size, rng))
 
         engine = self._engine
         engine.rng = rng
-        engine.n_stress_units = spec.stress_units(self._app_warps, rng)
+        engine.n_stress_units = spec.stress_units(setup.app_warps, rng)
         result = engine.run_all(
-            self._launches, fence_sites=frozenset(fence_sites)
+            setup.launches, fence_sites=frozenset(fence_sites)
         )
-        ok = (not result.timed_out) and bool(self._checker(mem))
+        ok = (not result.timed_out) and bool(setup.checker(mem))
         return AppRun(ok=ok, timed_out=result.timed_out, result=result)
 
 
@@ -227,7 +271,8 @@ def run_application(
 
     One-shot convenience over :class:`ApplicationBatch`; loops should
     build the batch themselves (or call :func:`run_application_batch`)
-    so the per-run setup cost is paid once.
+    so one memory system and engine serve every run (``app.setup``
+    runs once per process either way).
     """
     batch = ApplicationBatch(
         app,

@@ -14,7 +14,7 @@ Sec. 6 energy model as low-activity cycles.
 
 Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
 
-* :meth:`Engine.run` builds or relaunches the grid in Python, then runs
+* :meth:`Engine.run` relaunches the grid in Python, then runs
   the whole launch in one call of the native core, ``engine.c``, a
   CPython extension compiled on the first run (never at import) by
   :func:`repro.cbuild.load`.  The core is a second implementation of
@@ -47,10 +47,12 @@ Hot-path notes (see docs/ARCHITECTURE.md "Hot path & determinism"):
   barrier, issue, poll), writing the thread's state back once per
   burst.  It runs a flagged access's site fence in the next slot and
   spends an atomic's issue-latency slots before its read-modify-write.
-* Each engine keeps the grid of every (kernel, launch config) it has
-  run and relaunches it on the next run of that launch (fresh
-  coroutines, per-run fields reset, the same block shuffle draw), so a
-  batch builds thread, warp and block objects once per launch.
+* A process builds one grid per launch geometry (:func:`build_grid`
+  keeps it by :class:`~repro.gpu.kernel.LaunchConfig`) and relaunches
+  it for every launch of that geometry, from any engine (fresh
+  coroutines, per-run fields reset, the same block shuffle draw), so
+  thread, warp and block objects are built once per process, not per
+  batch or per launch.
 * None of this touches a random draw: the memory system and scheduler
   are called in the same order, so fixed-seed executions are
   bit-identical (pinned by the app-path golden statistics).
@@ -231,10 +233,8 @@ class Engine:
     One instance may execute many runs back to back; the batch driver
     (:class:`repro.apps.base.ApplicationBatch`) re-points ``rng`` and
     ``n_stress_units`` between runs instead of reconstructing it.  The
-    engine keeps the :class:`Grid` of every launch it has run, keyed by
-    the kernel object's identity and its :class:`LaunchConfig`
-    (kernels are not hashable: compiled litmus kernels carry a dict),
-    and relaunches it on the next run of that launch.
+    engine keeps no grid: each launch takes the process's :class:`Grid`
+    for its :class:`LaunchConfig` from :func:`build_grid`, relaunched.
     """
 
     __slots__ = (
@@ -245,7 +245,6 @@ class Engine:
         "n_stress_units",
         "randomise",
         "raise_on_timeout",
-        "_grids",
     )
 
     def __init__(
@@ -265,7 +264,6 @@ class Engine:
         self.n_stress_units = n_stress_units
         self.randomise = randomise
         self.raise_on_timeout = raise_on_timeout
-        self._grids: dict[tuple[int, LaunchConfig], Grid] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -275,22 +273,13 @@ class Engine:
         fence_sites: frozenset[str] = frozenset(),
     ) -> ExecutionResult:
         """Execute one kernel launch to completion (or timeout)."""
-        randomise_rng = self.rng if self.randomise else None
-        launch = (id(kernel), config)
-        grid = self._grids.get(launch)
-        if grid is None:
-            grid = self._grids[launch] = build_grid(
-                kernel,
-                config,
-                self.chip.n_sms,
-                fence_sites=fence_sites,
-                randomise_rng=randomise_rng,
-            )
-        else:
-            # The geometry depends only on the config, and every
-            # coroutine is re-instantiated from ``kernel``, so even a
-            # recycled ``id`` relaunches correctly.
-            grid.relaunch(kernel, self.chip.n_sms, fence_sites, randomise_rng)
+        grid = build_grid(
+            kernel,
+            config,
+            self.chip.n_sms,
+            fence_sites=fence_sites,
+            randomise_rng=self.rng if self.randomise else None,
+        )
         mem = self.memory
         swaps0, byp0, slow0 = mem.n_swaps, mem.n_bypasses, mem.n_slow_loads
         lib = core()

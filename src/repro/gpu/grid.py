@@ -28,9 +28,9 @@ class Grid:
     coroutine raises ``StopIteration``), which makes the per-tick
     termination check O(1) instead of a scan over every thread.
 
-    The objects depend only on the launch geometry, so an engine builds
-    a grid once per launch and :meth:`relaunch`-es it on every later
-    run.
+    The objects depend only on the launch geometry, so a process builds
+    one grid per :class:`LaunchConfig` and :meth:`relaunch`-es it for
+    every launch of that geometry (see :func:`build_grid`).
     """
 
     __slots__ = ("blocks", "threads", "warps", "n_live")
@@ -97,6 +97,11 @@ class Grid:
         self.n_live = len(self.threads)
 
 
+#: The process's grid of every launch geometry it has run, built the
+#: first time :func:`build_grid` sees the config.
+_GRIDS: dict[LaunchConfig, Grid] = {}
+
+
 def build_grid(
     kernel: Kernel,
     config: LaunchConfig,
@@ -104,15 +109,27 @@ def build_grid(
     fence_sites: frozenset[str] = frozenset(),
     randomise_rng: np.random.Generator | None = None,
 ) -> Grid:
-    """Group threads into warps and blocks, then launch the grid.
+    """The process's grid for ``config``, launched for ``kernel``.
 
-    Only the launch geometry is fixed here; :meth:`Grid.relaunch` sets
-    every per-run field (block SMs, coroutines, fence sites), for this
-    first run and for every later run of the same launch.  Each
-    thread's SM is stored on the thread itself (blocks are pinned to
-    SMs for the whole launch), so the engine needs no per-run key-to-SM
-    mapping.
+    Threads, warps and blocks depend only on the launch geometry, so
+    they are built the first time a config is seen and shared by every
+    later launch of it, whatever the kernel, chip or engine;
+    :meth:`Grid.relaunch` then sets every per-run field (block SMs,
+    coroutines, fence sites, whatever a timed-out run left behind).
+    Each thread's SM is stored on the thread itself (blocks are pinned
+    to SMs for the whole launch), so the engine needs no per-run
+    key-to-SM mapping.  A grid serves one launch at a time: the engine
+    runs each launch to its end before the next one starts.
     """
+    grid = _GRIDS.get(config)
+    if grid is None:
+        grid = _GRIDS[config] = Grid(_blocks(config))
+    grid.relaunch(kernel, n_sms, fence_sites, randomise_rng)
+    return grid
+
+
+def _blocks(config: LaunchConfig) -> list[Block]:
+    """Group the threads of ``config`` into warps and blocks."""
     blocks = []
     key = 0
     for block_id in range(config.grid_dim):
@@ -132,6 +149,4 @@ def build_grid(
                 key += 1
             warps.append(Warp(block_id, warp_id, threads))
         blocks.append(Block(block_id, warps))
-    grid = Grid(blocks)
-    grid.relaunch(kernel, n_sms, fence_sites, randomise_rng)
-    return grid
+    return blocks

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 from ..apps.base import Application, ApplicationBatch
+from ..apps.registry import get_application
 from ..chips.profile import HardwareProfile
 from ..errors import FenceInsertionError
 from ..parallel import (
@@ -94,12 +95,15 @@ def _check_shard(args: tuple) -> CheckShard:
     cannot change the merged verdict (the first erroneous index over
     all shards), so the speculation past a failure in an earlier shard
     is the only wasted work.  The shard's runs share one
-    :class:`ApplicationBatch` (setup once; per-seed results identical
-    to standalone runs).
+    :class:`ApplicationBatch` (per-seed results identical to standalone
+    runs).  The application travels by name, so every shard a worker
+    runs takes the registry's object and with it the worker's memoised
+    set-up.
     """
-    app, chip, env, fences, seed, base, start, stop = args
+    app_name, chip, env, fences, seed, base, start, stop = args
     batch = ApplicationBatch(
-        app, chip, stress_spec=env.strategy, randomise=env.randomise
+        get_application(app_name), chip, stress_spec=env.strategy,
+        randomise=env.randomise,
     )
     first = _first_error(batch, fences, seed, base, start, stop)
     return CheckShard(start=start, stop=stop, first_error=first)
@@ -135,7 +139,7 @@ class EmpiricalFenceInserter:
     def batch(self) -> ApplicationBatch:
         """One batch serves the whole serial reduction: the fence set is
         a per-run parameter of :meth:`ApplicationBatch.run`, so every
-        candidate evaluation reuses the same setup/memory-system/engine.
+        candidate evaluation reuses the same memory system and engine.
         Built lazily — the parallel path never touches it (each
         ``_check_shard`` worker builds its own)."""
         if self._batch is None:
@@ -171,7 +175,7 @@ class EmpiricalFenceInserter:
                 _check_shard,
                 [
                     (
-                        self.app, self.chip, self.environment, fences,
+                        self.app.name, self.chip, self.environment, fences,
                         self.seed, base, start, stop,
                     )
                     for start, stop in shard_ranges(

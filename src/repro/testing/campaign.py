@@ -94,8 +94,8 @@ def execute_campaign_unit(unit: WorkUnit) -> store_records.RunRecord:
     Run ``i`` of a cell always draws from the seed stream derived from
     its *global* index, so any sharding of the run range — and any
     placement of this unit — reproduces the serial statistics exactly.
-    The shard's runs share one :class:`ApplicationBatch` (setup once,
-    per-seed results identical to standalone runs).
+    The shard's runs share one :class:`ApplicationBatch` (per-seed
+    results identical to standalone runs).
     """
     s = unit.spec
     batch = ApplicationBatch(

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -268,3 +270,19 @@ class TestCommands:
     def test_experiment_table1(self, capsys):
         assert main(["experiment", "table1"]) == 0
         assert "GTX 980" in capsys.readouterr().out
+
+    def test_harden_serial_equals_two_jobs(self, capsys):
+        """Fence insertion end to end, serially and with its check
+        shards in two worker processes: the same reduction and the same
+        text apart from the seconds figure."""
+        outs = []
+        for jobs in ([], ["--jobs", "2"]):
+            assert main([
+                "harden", "cbe-dot", "--chip", "Titan", "--scale", "smoke",
+                *jobs,
+            ]) == 0
+            outs.append(re.sub(r"\d+\.\ds\)", "s)",
+                               capsys.readouterr().out))
+        assert "4 initial fences -> 1 after reduction (converged" in outs[0]
+        assert "\n  fence after cbe-dot:store-c\n" in outs[0]
+        assert outs[0] == outs[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chips import SC_REFERENCE, get_chip
+from repro.gpu import grid as grids
 from repro.gpu.addresses import AddressSpace
 from repro.gpu.engine import Engine, Outcome
 from repro.errors import InvalidAccessError
@@ -262,9 +263,9 @@ def _parking_kernel(ctx, flag, data):
         yield from ctx.compute(1)
 
 
-def _only_grid(engine):
-    (grid,) = engine._grids.values()
-    return grid
+def _grid(config):
+    """The process's grid for ``config``, as its last launch left it."""
+    return grids._GRIDS[config]
 
 
 class TestBurstLoop:
@@ -293,10 +294,10 @@ class TestBurstLoop:
         mem = MemorySystem(chip, StressField.zero(chip),
                            np.random.default_rng(0))
         engine = Engine(chip, mem, np.random.default_rng(1), max_ticks=1)
-        result = engine.run(Kernel("k", kernel, (data,)),
-                            LaunchConfig(1, 1, 1))
+        config = LaunchConfig(1, 1, 1)
+        result = engine.run(Kernel("k", kernel, (data,)), config)
         assert result.timed_out
-        (thread,) = _only_grid(engine).threads
+        (thread,) = _grid(config).threads
         assert thread.op == (OP_LOAD, data.addr(32), False)
         assert thread.op_state == {"waiting": True}
 
@@ -411,7 +412,8 @@ class TestGridRelaunch:
     @staticmethod
     def _timeout_then_finish(randomise, reuse):
         """A timed-out run, a host write that lets the kernel finish,
-        then a second run on the same engine or a fresh one."""
+        then a second run on the same engine and grid, or on a fresh
+        engine and a grid built from an emptied cache."""
         chip = SC_REFERENCE
         space = AddressSpace()
         flag = space.alloc("flag", 1)
@@ -424,7 +426,7 @@ class TestGridRelaunch:
                         randomise=randomise)
         first = engine.run(kernel, config, fence_sites=frozenset({"spin"}))
         assert first.timed_out
-        t0, t1, t2, t3 = _only_grid(engine).threads
+        t0, t1, t2, t3 = _grid(config).threads
         assert t0.done
         assert t1.op is not None and t1.op_state
         assert t2.at_barrier
@@ -437,6 +439,7 @@ class TestGridRelaunch:
         else:
             engine = Engine(chip, mem, np.random.default_rng(2),
                             max_ticks=1000, randomise=randomise)
+            grids._GRIDS.clear()
         second = engine.run(kernel, config)
         # Equal next draws: both runs made the same draws in total.
         return (second, dict(mem.mem), mem.rng.random(),
@@ -477,8 +480,9 @@ class TestGridRelaunch:
                 else:
                     engine = Engine(chip, mem, np.random.default_rng(seed),
                                     n_stress_units=3, randomise=True)
+                    grids._GRIDS.clear()
                 result = engine.run(kernel, config)
-                grid = _only_grid(engine)
+                grid = _grid(config)
                 sms = [block.sm for block in grid.blocks]
                 thread_sms = [thread.sm for thread in grid.threads]
                 rows.append((result, sms, thread_sms, dict(mem.mem)))
@@ -508,12 +512,14 @@ class TestGridRelaunch:
                 engine.rng = np.random.default_rng(2)
             else:
                 engine = Engine(chip, mem, np.random.default_rng(2))
+                grids._GRIDS.clear()
             result = engine.run(kernel, large)
-            return engine, result, dict(mem.mem)
+            return result, dict(mem.mem)
 
-        engine, result, image = run(reuse=True)
-        assert len(engine._grids) == 2
+        result, image = run(reuse=True)
+        assert _grid(small) is not _grid(large)
+        assert [len(_grid(c).threads) for c in (small, large)] == [4, 16]
         assert [image.get(out.addr(i), 0) for i in range(16)] == list(
             range(1, 17)
         )
-        assert (result, image) == run(reuse=False)[1:]
+        assert (result, image) == run(reuse=False)

@@ -30,6 +30,7 @@ counts too).  The Python side is forced by setting ``engine._core`` to
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import subprocess
@@ -45,6 +46,7 @@ from repro.apps.registry import all_applications, get_application
 from repro.chips import all_chips, get_chip
 from repro.errors import KernelTimeoutError
 from repro.gpu import engine
+from repro.gpu import grid as grids
 from repro.gpu.addresses import AddressSpace
 from repro.gpu.engine import Engine
 from repro.gpu.events import OP_FENCE, OP_LOAD, OP_STORE
@@ -113,16 +115,36 @@ def _memory_state(mem, *rngs):
     return state
 
 
-def _thread_states(eng):
-    """Every thread's engine-side state, grids in launch order."""
+def _grid_state(grid):
+    """Every thread's engine-side state in ``grid``, then its live
+    count."""
     return [
         (
             t.done, _plain(t.op), dict(t.op_state), _plain(t.to_send),
             t.at_barrier, t.sleep_until, t.latency, t.warp.n_active,
         )
-        for grid in eng._grids.values()
         for t in grid.threads
-    ] + [grid.n_live for grid in eng._grids.values()]
+    ] + [grid.n_live]
+
+
+@contextlib.contextmanager
+def _launch_states():
+    """Yields a list that gets each launch's :func:`_grid_state` right
+    after its ``Engine.run`` returns or raises, in launch order.  A
+    snapshot per launch, because every launch of one geometry runs on
+    the process's one grid for it."""
+    states = []
+    run = Engine.run
+
+    def snapshot_run(self, kernel, config, *args, **kwargs):
+        try:
+            return run(self, kernel, config, *args, **kwargs)
+        finally:
+            states.append(_grid_state(grids._GRIDS[config]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "run", snapshot_run)
+        yield states
 
 
 def _batch_runs(app, chip, env, randomise, fences, max_ticks=None):
@@ -136,10 +158,11 @@ def _batch_runs(app, chip, env, randomise, fences, max_ticks=None):
     for i in range(2):
         seed = derive_seed(29, "engine-core", app.name, chip.short_name,
                            env, randomise, fences, i)
-        run = batch.run(seed, fence_sites=sites)
+        with _launch_states() as states:
+            run = batch.run(seed, fence_sites=sites)
         out.append((run, _memory_state(batch._mem, batch._mem.rng)))
         if max_ticks is not None:
-            out.append(_thread_states(batch._engine))
+            out.append(states)
     return out
 
 
@@ -189,12 +212,14 @@ def _distinct_run(app_name, chip_name, seed, randomise, raise_on_timeout,
     eng = Engine(chip, mem, np.random.default_rng(seed + 1),
                  max_ticks=max_ticks, n_stress_units=3, randomise=randomise,
                  raise_on_timeout=raise_on_timeout)
-    try:
-        result = eng.run_all(launches, fence_sites=frozenset(app.sites()))
-        outcome = (result, bool(checker(mem)))
-    except KernelTimeoutError as exc:
-        outcome = (type(exc), str(exc))
-    return outcome, _memory_state(mem, mem.rng, eng.rng), _thread_states(eng)
+    with _launch_states() as states:
+        try:
+            result = eng.run_all(launches,
+                                 fence_sites=frozenset(app.sites()))
+            outcome = (result, bool(checker(mem)))
+        except KernelTimeoutError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, _memory_state(mem, mem.rng, eng.rng), states
 
 
 @needs_core
@@ -263,11 +288,13 @@ def _failing_run(kind, chip_name, randomise):
     mem.set_stress(spec.build(chip, 4096, 4096, np.random.default_rng(12)))
     eng = Engine(chip, mem, np.random.default_rng(13), n_stress_units=2,
                  randomise=randomise)
-    try:
-        outcome = eng.run(Kernel("bad", _bad_op(kind)), LaunchConfig(4, 4, 2))
-    except Exception as exc:  # compared across the two paths
-        outcome = (type(exc), str(exc))
-    return outcome, _memory_state(mem, mem.rng, eng.rng), _thread_states(eng)
+    with _launch_states() as states:
+        try:
+            outcome = eng.run(Kernel("bad", _bad_op(kind)),
+                              LaunchConfig(4, 4, 2))
+        except Exception as exc:  # compared across the two paths
+            outcome = (type(exc), str(exc))
+    return outcome, _memory_state(mem, mem.rng, eng.rng), states
 
 
 @needs_core
